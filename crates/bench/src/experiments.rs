@@ -8,8 +8,9 @@ pub mod table1 {
     //! for 2/4/8 GPUs and 8 GPUs over two servers; final column is the speedup
     //! of the best FastT entry over the best DP entry (how the paper computes
     //! its bold speedup column).
-    #[allow(unused_imports)]
-    use crate::*;
+    use crate::{
+        fmt_sps, per_replica_batch, print_header, run_dp, run_fastt, strong_scaling_settings,
+    };
     use fastt_cluster::Topology;
     use fastt_models::Model;
 
@@ -83,8 +84,6 @@ pub mod table1 {
 pub mod table2 {
     //! Table 2: training speed (samples/s) under **weak scaling** — the per-GPU
     //! batch stays fixed, so the global batch grows with the GPU count.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{fmt_sps, print_header, run_dp, run_fastt, weak_scaling_settings};
     use fastt_cluster::Topology;
     use fastt_models::Model;
@@ -158,8 +157,6 @@ pub mod table3 {
     //! global batch sizes — single GPU, 2-GPU DP, and 2-GPU FastT. Data
     //! parallelism runs out of memory beyond batch 32; FastT keeps training at
     //! 40 and 48 by deploying the model across both GPUs.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{print_header, run_dp, run_fastt};
     use fastt_cluster::Topology;
     use fastt_models::Model;
@@ -217,10 +214,9 @@ pub mod table4 {
     //! (DPOS/OS-DPOS invocations during the whole pre-training workflow), the
     //! quantity that actually scales with model size and device count. Relative
     //! ordering across models/GPU counts is the reproducible shape.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{per_replica_batch, print_header, run_fastt};
     use fastt_cluster::Topology;
+    use fastt_models::Model;
 
     /// Runs the experiment and prints its rows.
     pub fn table4(models: &[Model]) {
@@ -257,8 +253,6 @@ pub mod table5 {
     //! The paper's qualitative finding: ops that get split have long execution
     //! time and small weights; large-weight ops (fc6) are not split to avoid
     //! broadcasting parameters.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{per_replica_batch, print_header, run_fastt};
     use fastt_cluster::Topology;
     use fastt_cost::canonical_name;
@@ -341,12 +335,11 @@ pub mod table6 {
     //! *same* trained cost models (one FastT session with splitting on):
     //! "Split" is the OS-DPOS plan, "No split" the plain-DPOS plan, and
     //! both are measured in the simulator under order enforcement.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{dp_ps_for, per_replica_batch, print_header, run_fastt};
     use fastt::SessionConfig;
     use fastt_cluster::Topology;
     use fastt_cost::canonical_name;
+    use fastt_models::Model;
     use fastt_sim::{HardwarePerf, SimConfig};
 
     /// Runs the experiment and prints its rows.
@@ -426,8 +419,6 @@ pub mod fig2 {
     //! under the default data-parallel placement; we compare TensorFlow's
     //! default FIFO execution order against FastT's enforced order computed for
     //! the *same* placement (isolating the ordering effect, as the paper does).
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{dp_ps_for, print_header, MEASURE_ITERS};
     use fastt::{data_parallel_plan, data_parallel_plan_on, schedule_for_placement};
     use fastt_cluster::Topology;
@@ -511,8 +502,6 @@ pub mod fig3 {
     //! (MCMC) searches the **replicated** graph with a large evaluation budget,
     //! and FastT runs its full workflow. The expected shape: FastT beats the
     //! model-parallel-only searchers everywhere; FlexFlow comes closest.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{dp_ps_for, per_replica_batch, print_header, run_dp, run_fastt};
     use fastt::search::{CemPlanner, GdpPlanner, McmcPlanner, ReinforcePlanner};
     use fastt::{data_parallel_plan, data_parallel_plan_on, Portfolio, PortfolioInputs};
@@ -657,8 +646,6 @@ pub mod fig4 {
     //! VGG-19 and LeNet on 2 and 4 GPUs. The paper's observation: FastT does not
     //! allocate operations evenly — replicas of large-parameter ops concentrate
     //! on one GPU to avoid gradient aggregation, while compute-heavy ops spread.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{per_replica_batch, print_header, run_fastt};
     use fastt_cluster::Topology;
     use fastt_models::Model;
@@ -705,8 +692,6 @@ pub mod fig5 {
     //! per-iteration time for data parallelism vs FastT on 2 GPUs. The paper's
     //! observation: FastT may *increase* computation time (more ops packed on
     //! fewer devices) while reducing memcpy time and the per-iteration time.
-    #[allow(unused_imports)]
-    use crate::*;
     use crate::{dp_ps_for, per_replica_batch, print_header, run_fastt};
     use fastt::{data_parallel_plan, data_parallel_plan_on};
     use fastt_cluster::Topology;

@@ -315,4 +315,3 @@ mod tests {
 }
 
 pub mod experiments;
-pub mod perf;

@@ -48,8 +48,8 @@ const REFINE_THRESHOLD: usize = 4;
 
 /// Decomposition memo: structure hash → (tree, cold decompose seconds).
 /// Bounded FIFO; sessions re-plan the same structure many times (recovery
-/// probing, drift refits, perfbench repeats), and the decomposition is a
-/// pure function of the graph.
+/// probing, drift refits, repeated fleet admissions), and the decomposition
+/// is a pure function of the graph.
 type DecompMemoEntry = (u64, Arc<RegionTree>, f64);
 static DECOMP_MEMO: OnceLock<Mutex<Vec<DecompMemoEntry>>> = OnceLock::new();
 const DECOMP_MEMO_CAP: usize = 8;

@@ -64,9 +64,9 @@ use fastt_telemetry::Slo;
 /// re-plan that takes longer than this delays recovery and fleet admission.
 pub const PLANNER_LATENCY_P95_TARGET: f64 = 0.25;
 
-/// The declared SLO set the report binary and `perfbench` grade against:
-/// aggregate `planner.latency` p95 plus the per-planner series for the two
-/// white-box algorithms (warn band 2× per [`Slo::p95`]).
+/// The declared SLO set the report binary grades against: aggregate
+/// `planner.latency` p95 plus the per-planner series for the two white-box
+/// algorithms (warn band 2× per [`Slo::p95`]).
 pub fn default_slos() -> Vec<Slo> {
     vec![
         Slo::p95(
