@@ -300,8 +300,7 @@ pub mod table5 {
             });
             let time_ms = cost
                 .comp
-                .max_time(&format!("rep0/{name}"))
-                .or_else(|| cost.comp.max_time(name))
+                .max_time(name)
                 .map(|t| t * 1e3)
                 .unwrap_or(f64::NAN);
             let weight_kb = graph

@@ -7,10 +7,10 @@
 //! to the device minimizing their earliest finish time (EFT), with
 //! idle-slot insertion.
 
-use crate::rank::{critical_path, upward_ranks};
+use crate::rank::{critical_path, upward_ranks_with};
 use crate::timeline::DeviceTimeline;
 use fastt_cluster::{DeviceId, Topology};
-use fastt_cost::CostModels;
+use fastt_cost::{CompCostTable, CostModels};
 use fastt_graph::{Graph, OpId};
 use fastt_sim::{HardwarePerf, Placement};
 use fastt_telemetry::{jobj, Collector, Value};
@@ -41,7 +41,7 @@ pub struct Schedule {
 fn select_cp_device(
     graph: &Graph,
     topo: &Topology,
-    cost: &CostModels,
+    comp: &CompCostTable,
     hw: &HardwarePerf,
     remaining_cp: &[OpId],
     mem_used: &[u64],
@@ -59,7 +59,7 @@ fn select_cp_device(
                 break;
             }
             free -= need;
-            sum += cost.comp.get(&graph.op_ref(o).name, d).unwrap_or(0.0);
+            sum += comp.time(o, d);
             count += 1;
         }
         let avg = if count == 0 {
@@ -190,8 +190,11 @@ fn dpos_impl(
     let _place_phase = col.map(|c| c.phase("dpos.place"));
     let n = graph.op_count();
     let n_dev = topo.device_count();
+    // One dense cost table per run: ranks, the CP device choice, the EFT
+    // scan and the commit all read it by index.
+    let comp = cost.comp.table(graph);
     let rank_phase = col.map(|c| c.phase("rank"));
-    let ranks = upward_ranks(graph, cost);
+    let ranks = upward_ranks_with(graph, &comp, &cost.comm);
     let cp = critical_path(graph, &ranks);
     drop(rank_phase);
     let mut on_cp = vec![false; n];
@@ -246,7 +249,7 @@ fn dpos_impl(
     let mut cp_device = if cp_remaining.is_empty() {
         DeviceId(0)
     } else {
-        select_cp_device(graph, topo, cost, hw, &cp_remaining, &mem_used)
+        select_cp_device(graph, topo, &comp, hw, &cp_remaining, &mem_used)
     };
 
     // Transfer bookkeeping mirrors the executor: tensors are sent once per
@@ -396,7 +399,7 @@ fn dpos_impl(
             let cap = topo.device(cp_device).mem_bytes;
             if mem_used[cp_device.index()] + need > cap {
                 cp_remaining.retain(|&x| !placed[x.index()]);
-                cp_device = select_cp_device(graph, topo, cost, hw, &cp_remaining, &mem_used);
+                cp_device = select_cp_device(graph, topo, &comp, hw, &cp_remaining, &mem_used);
             }
             vec![cp_device]
         } else {
@@ -429,7 +432,7 @@ fn dpos_impl(
         let mut best_eft = f64::INFINITY;
         let mut considered: Vec<Value> = Vec::new();
         for &d in &candidates {
-            let w = cost.comp.get(name, d).unwrap_or(0.0);
+            let w = comp.time(o, d);
             let ready = ready_time(o, d, &ft, &placement, &chan, &xfer_done);
             let est = if flags.insertion {
                 timelines[d.index()].earliest_slot(ready, w)
@@ -463,7 +466,7 @@ fn dpos_impl(
 
         let _commit_phase = col.map(|c| c.phase("commit"));
         commit_transfers(o, best_d, &ft, &placement, &mut chan, &mut xfer_done);
-        let w = cost.comp.get(name, best_d).unwrap_or(0.0);
+        let w = comp.time(o, best_d);
         timelines[best_d.index()].reserve(best_est, w);
         st[o.index()] = best_est;
         ft[o.index()] = best_eft;

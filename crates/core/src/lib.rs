@@ -57,6 +57,8 @@ mod pipeline;
 pub mod planner;
 mod profiling;
 mod rank;
+#[cfg(test)]
+mod reference;
 pub mod search;
 mod session;
 mod strategy;

@@ -7,7 +7,7 @@
 //! best split does not improve it (Sec. 5.2).
 
 use crate::dpos::{dpos, dpos_opt};
-use crate::rank::critical_path_placed;
+use crate::rank::critical_path_placed_with;
 use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
@@ -100,14 +100,13 @@ pub(crate) fn os_dpos_opt(
     let mut ft_old = base.est_finish;
 
     // Critical path under the actual placement, by descending compute time.
-    let cp = critical_path_placed(graph, &base.placement, cost, topo);
+    let comp = cost.comp.table(graph);
+    let cp = critical_path_placed_with(graph, &base.placement, &comp, &cost.comm, topo);
     let mut cp_named: Vec<(String, f64)> = cp
         .iter()
         .map(|&o| {
-            let name = graph.op_ref(o).name.clone();
-            let d = base.placement.device_of(o);
-            let t = cost.comp.get(&name, d).unwrap_or(0.0);
-            (name, t)
+            let t = comp.time(o, base.placement.device_of(o));
+            (graph.op_ref(o).name.clone(), t)
         })
         .collect();
     cp_named.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -134,6 +133,13 @@ pub(crate) fn os_dpos_opt(
         // DPOS re-runs (which stay untraced and unprofiled individually to
         // bound volume — their time accrues to `split_enum`).
         let _enum_phase = col.map(|c| c.phase("split_enum"));
+        // Seeding sub-op names never touches the parent's key (a part name
+        // canonicalizes to the parent's plus `.part#`), so its per-device
+        // times hold for every candidate.
+        let parent_times: Vec<(DeviceId, f64)> = devices
+            .iter()
+            .filter_map(|&d| cost.comp.get(&name, d).map(|t| (d, t)))
+            .collect();
         let mut best: Option<(Graph, crate::dpos::Schedule, SplitDecision)> = None;
         for &dim in kind.split_dims() {
             for &n in &opts.split_counts {
@@ -141,12 +147,10 @@ pub(crate) fn os_dpos_opt(
                     continue; // not divisible this way
                 };
                 // analytic prior for the sub-operations
-                for d in &devices {
-                    if let Some(t) = cost.comp.get(&name, *d) {
-                        for &p in &res.parts {
-                            cost.comp
-                                .seed(&res.graph.op_ref(p).name, &[*d], t / n as f64);
-                        }
+                for &(d, t) in &parent_times {
+                    for &p in &res.parts {
+                        cost.comp
+                            .seed(&res.graph.op_ref(p).name, &[d], t / n as f64);
                     }
                 }
                 let s = dpos(&res.graph, topo, cost, hw);

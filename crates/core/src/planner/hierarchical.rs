@@ -255,6 +255,7 @@ fn build_quotient(
     let mut q = Graph::new();
     let gpus: Vec<DeviceId> = ctx.topo.gpu_ids().collect();
     let mut qcost = ctx.cost.clone();
+    let comp = ctx.cost.comp.table(graph);
     for (id, r) in tree.regions() {
         let flops: u64 = r.ops.iter().map(|&o| graph.op_ref(o).flops).sum();
         let bytes: u64 = r
@@ -270,11 +271,7 @@ fn build_quotient(
         )
         .map_err(|_| FastTError::InvalidArgument("quotient region name collision"))?;
         for &d in &gpus {
-            let secs: f64 = r
-                .ops
-                .iter()
-                .map(|&o| ctx.cost.comp.get(&graph.op_ref(o).name, d).unwrap_or(0.0))
-                .sum();
+            let secs: f64 = r.ops.iter().map(|&o| comp.time(o, d)).sum();
             qcost.comp.seed(&name, &[d], secs);
         }
     }

@@ -21,14 +21,23 @@ use fastt_sim::{simulate, ExecPolicy, HardwarePerf, Placement, SimConfig};
 /// treat as zero-cost exploration targets, Sec. 4 of the paper).
 pub fn bootstrap_cost_models(graph: &Graph, topo: &Topology, hw: &HardwarePerf) -> CostModels {
     let mut cost = CostModels::new();
-    for d in topo.gpu_ids() {
-        let p = Placement::uniform(graph.op_count(), d);
+    for p in probe_placements(graph, topo) {
         if let Ok(tr) = simulate(graph, topo, &p, hw, ExecPolicy::Fifo, &SimConfig::default()) {
             cost.update_from_trace(graph, &tr);
         }
     }
-    // Round-robin over colocation units (a unit = a colocation group or a
-    // single op) so the probe placement never violates constraints.
+    cost
+}
+
+/// The placements [`bootstrap_cost_models`] profiles, in order: everything
+/// on each GPU in turn, then round-robin over colocation units (a unit = a
+/// colocation group or a single op) so the probe placement never violates
+/// constraints.
+pub(crate) fn probe_placements(graph: &Graph, topo: &Topology) -> Vec<Placement> {
+    let mut probes: Vec<Placement> = topo
+        .gpu_ids()
+        .map(|d| Placement::uniform(graph.op_count(), d))
+        .collect();
     let n = topo.gpu_count();
     let mut p = Placement::uniform(graph.op_count(), DeviceId(0));
     let mut unit = 0usize;
@@ -52,10 +61,8 @@ pub fn bootstrap_cost_models(graph: &Graph, topo: &Topology, hw: &HardwarePerf) 
             }
         }
     }
-    if let Ok(tr) = simulate(graph, topo, &p, hw, ExecPolicy::Fifo, &SimConfig::default()) {
-        cost.update_from_trace(graph, &tr);
-    }
-    cost
+    probes.push(p);
+    probes
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! placements (Sec. 4).
 
 use fastt_cluster::Topology;
-use fastt_cost::CostModels;
+use fastt_cost::{CommCostModel, CompCostTable, CostModels};
 use fastt_graph::{Graph, OpId};
 use fastt_sim::Placement;
 
@@ -21,15 +21,23 @@ use fastt_sim::Placement;
 /// Panics if `graph` contains a cycle (model builders and rewrites always
 /// produce DAGs; validate untrusted graphs first).
 pub fn upward_ranks(graph: &Graph, cost: &CostModels) -> Vec<f64> {
+    upward_ranks_with(graph, &cost.comp.table(graph), &cost.comm)
+}
+
+/// [`upward_ranks`] over a per-run computation cost table.
+pub(crate) fn upward_ranks_with(
+    graph: &Graph,
+    comp: &CompCostTable,
+    comm: &CommCostModel,
+) -> Vec<f64> {
     let topo = graph.topo_order().expect("rank needs a DAG");
     let mut rank = vec![0.0f64; graph.op_count()];
     for &o in topo.iter().rev() {
-        let w = cost.comp.max_time(&graph.op_ref(o).name).unwrap_or(0.0);
         let tail = graph
             .out_edges(o)
-            .map(|e| cost.comm.max_comm(e.bytes) + rank[e.dst.index()])
+            .map(|e| comm.max_comm(e.bytes) + rank[e.dst.index()])
             .fold(0.0f64, f64::max);
-        rank[o.index()] = w + tail;
+        rank[o.index()] = comp.max_time(o) + tail;
     }
     rank
 }
@@ -76,6 +84,23 @@ pub fn critical_path_placed(
     cost: &CostModels,
     cluster: &Topology,
 ) -> Vec<OpId> {
+    critical_path_placed_with(
+        graph,
+        placement,
+        &cost.comp.table(graph),
+        &cost.comm,
+        cluster,
+    )
+}
+
+/// [`critical_path_placed`] over a per-run computation cost table.
+pub(crate) fn critical_path_placed_with(
+    graph: &Graph,
+    placement: &Placement,
+    comp: &CompCostTable,
+    comm: &CommCostModel,
+    cluster: &Topology,
+) -> Vec<OpId> {
     let topo = graph.topo_order().expect("needs a DAG");
     let n = graph.op_count();
     // longest-path-to-exit per op, and the successor achieving it
@@ -83,13 +108,12 @@ pub fn critical_path_placed(
     let mut next: Vec<Option<OpId>> = vec![None; n];
     for &o in topo.iter().rev() {
         let d_o = placement.device_of(o);
-        let w = cost.comp.get(&graph.op_ref(o).name, d_o).unwrap_or(0.0);
+        let w = comp.time(o, d_o);
         let mut best = f64::NEG_INFINITY;
         let mut best_next = None;
         for e in graph.out_edges(o) {
             let d_s = placement.device_of(e.dst);
-            let c = cost
-                .comm
+            let c = comm
                 .predict(d_o, d_s, e.bytes)
                 .unwrap_or_else(|| cluster.transfer_time_routed(d_o, d_s, e.bytes));
             let cand = c + dist[e.dst.index()];

@@ -5,7 +5,7 @@
 //! why FastT dominates it in the paper's Fig. 3.
 
 use super::SearchResult;
-use crate::rank::upward_ranks;
+use crate::rank::upward_ranks_with;
 use crate::timeline::DeviceTimeline;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
@@ -21,7 +21,8 @@ pub fn gdp_place(
     hw: &HardwarePerf,
 ) -> SearchResult {
     let n = graph.op_count();
-    let ranks = upward_ranks(graph, cost);
+    let comp = cost.comp.table(graph);
+    let ranks = upward_ranks_with(graph, &comp, &cost.comm);
     let topo_order = graph.topo_order().expect("DAG");
     let mut topo_pos = vec![0usize; n];
     for (i, &o) in topo_order.iter().enumerate() {
@@ -43,7 +44,6 @@ pub fn gdp_place(
     let mut placed = vec![false; n];
 
     for &o in &queue {
-        let name = &graph.op_ref(o).name;
         let need = hw.planning_bytes(graph.op_ref(o));
         let candidates: Vec<DeviceId> = if let Some(d) = forced[o.index()] {
             vec![d]
@@ -67,7 +67,7 @@ pub fn gdp_place(
         };
         let mut best = (candidates[0], f64::INFINITY, 0.0);
         for &d in &candidates {
-            let w = cost.comp.get(name, d).unwrap_or(0.0);
+            let w = comp.time(o, d);
             let mut ready = 0.0f64;
             for e in graph.in_edges(o) {
                 let dp = placement.device_of(e.src);
@@ -87,7 +87,7 @@ pub fn gdp_place(
             }
         }
         let (d, eft, est) = best;
-        let w = cost.comp.get(name, d).unwrap_or(0.0);
+        let w = comp.time(o, d);
         timelines[d.index()].reserve(est, w);
         ft[o.index()] = eft;
         placement.set(o, d);

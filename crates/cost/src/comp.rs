@@ -4,7 +4,7 @@
 //! operation's name and device as the key").
 
 use fastt_cluster::DeviceId;
-use fastt_graph::Graph;
+use fastt_graph::{Graph, OpId};
 use fastt_sim::RunTrace;
 use std::collections::HashMap;
 
@@ -61,11 +61,23 @@ impl Stat {
 }
 
 /// Profiled per-(op, device) execution times with running averages.
+///
+/// Canonical op names are interned to dense ids once; each id owns a row
+/// of running means indexed by device. A lookup is one [`canonical_name`],
+/// one hash and an index, and [`CompCostModel::max_time`] scans one row
+/// instead of every key of the model.
 #[derive(Debug, Clone, Default)]
 pub struct CompCostModel {
-    stats: HashMap<(String, DeviceId), Stat>,
-    /// Means at the last [`CompCostModel::snapshot`], for stability checks.
-    snapshot: HashMap<(String, DeviceId), f64>,
+    /// Canonical name → row index into `stats`.
+    ids: HashMap<String, u32>,
+    /// Per-name stats, indexed by `DeviceId::index()`; a cell with
+    /// `count == 0` is not a key.
+    stats: Vec<Vec<Stat>>,
+    /// Number of keys (cells with `count > 0`).
+    keys: usize,
+    /// Means at the last [`CompCostModel::snapshot`], shaped like `stats`;
+    /// a cell that was not a key then holds 0 (counts as fully drifted).
+    snapshot: Vec<Vec<f64>>,
     /// Monotonic counter bumped on every real measurement; plan-cache
     /// fingerprints use it to detect that predictions may have moved.
     generation: u64,
@@ -75,6 +87,36 @@ impl CompCostModel {
     /// Creates an empty model.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The row of `name`, if it was ever observed or seeded.
+    fn row(&self, name: &str) -> Option<&[Stat]> {
+        self.ids
+            .get(&canonical_name(name))
+            .map(|&id| self.stats[id as usize].as_slice())
+    }
+
+    /// The cell of (`name`, `device`), created empty if absent.
+    fn cell_mut(&mut self, name: &str, device: DeviceId) -> &mut Stat {
+        let key = canonical_name(name);
+        let id = match self.ids.get(&key) {
+            Some(&id) => id as usize,
+            None => {
+                self.ids.insert(key, self.stats.len() as u32);
+                self.stats.push(Vec::new());
+                self.stats.len() - 1
+            }
+        };
+        let row = &mut self.stats[id];
+        if row.len() <= device.index() {
+            row.resize(device.index() + 1, Stat::default());
+        }
+        let s = &mut row[device.index()];
+        if s.count == 0 {
+            // every caller leaves the cell with `count ≥ 1`
+            self.keys += 1;
+        }
+        s
     }
 
     /// Records one observed execution of `name` on `device`. The first real
@@ -89,10 +131,7 @@ impl CompCostModel {
     /// drift threshold.
     pub fn observe(&mut self, name: &str, device: DeviceId, secs: f64) {
         self.generation += 1;
-        let s = self
-            .stats
-            .entry((canonical_name(name), device))
-            .or_default();
+        let s = self.cell_mut(name, device);
         if s.seeded {
             *s = Stat::default();
         }
@@ -121,8 +160,8 @@ impl CompCostModel {
 
     /// Mean observed execution time of `name` on `device`, if any.
     pub fn get(&self, name: &str, device: DeviceId) -> Option<f64> {
-        self.stats
-            .get(&(canonical_name(name), device))
+        self.row(name)?
+            .get(device.index())
             .filter(|s| s.count > 0)
             .map(|s| s.mean())
     }
@@ -130,20 +169,12 @@ impl CompCostModel {
     /// Maximal mean execution time of `name` over all profiled devices —
     /// the `w_i` of the rank computation (Sec. 5.1).
     pub fn max_time(&self, name: &str) -> Option<f64> {
-        let key = canonical_name(name);
-        let mut best: Option<f64> = None;
-        for ((n, _), s) in &self.stats {
-            if *n == key && s.count > 0 {
-                let m = s.mean();
-                best = Some(best.map_or(m, |b: f64| b.max(m)));
-            }
-        }
-        best
+        row_max(self.row(name)?)
     }
 
     /// Number of distinct (op, device) keys profiled.
     pub fn key_count(&self) -> usize {
-        self.stats.len()
+        self.keys
     }
 
     /// Monotonic measurement generation: bumped once per [`observe`] call
@@ -172,7 +203,7 @@ impl CompCostModel {
     /// sub-op names).
     pub fn seed(&mut self, name: &str, devices: &[DeviceId], secs: f64) {
         for &d in devices {
-            let s = self.stats.entry((canonical_name(name), d)).or_default();
+            let s = self.cell_mut(name, d);
             if s.count == 0 || s.seeded {
                 *s = Stat {
                     sum: secs,
@@ -189,7 +220,7 @@ impl CompCostModel {
         self.snapshot = self
             .stats
             .iter()
-            .map(|(k, s)| (k.clone(), s.mean()))
+            .map(|row| row.iter().map(Stat::mean).collect())
             .collect();
     }
 
@@ -199,16 +230,82 @@ impl CompCostModel {
     /// (sub-)operation(s) on the same device(s) does not vary much".
     pub fn max_drift(&self) -> f64 {
         let mut worst: f64 = 0.0;
-        for (k, s) in &self.stats {
-            let now = s.mean();
-            match self.snapshot.get(k) {
-                Some(&then) if then > 0.0 => {
+        for (id, row) in self.stats.iter().enumerate() {
+            for (d, s) in row.iter().enumerate().filter(|(_, s)| s.count > 0) {
+                let now = s.mean();
+                let then = self
+                    .snapshot
+                    .get(id)
+                    .and_then(|r| r.get(d))
+                    .copied()
+                    .unwrap_or(0.0);
+                if then > 0.0 {
                     worst = worst.max((now - then).abs() / then);
+                } else {
+                    worst = worst.max(1.0);
                 }
-                _ => worst = worst.max(1.0),
             }
         }
         worst
+    }
+
+    /// The dense `ops × devices` view of this model over `graph`, for one
+    /// planning run: one [`canonical_name`] per op, after which every read
+    /// is an index. Unprofiled cells read 0, as do ops with no profiled
+    /// device at all (Sec. 4: missing costs count as zero).
+    pub fn table(&self, graph: &Graph) -> CompCostTable {
+        let rows: Vec<Option<&[Stat]>> = graph.iter_ops().map(|(_, o)| self.row(&o.name)).collect();
+        let width = rows.iter().flatten().map(|r| r.len()).max().unwrap_or(0);
+        let mut times = vec![0.0; rows.len() * width];
+        let mut max = vec![0.0; rows.len()];
+        for (i, row) in rows.iter().enumerate() {
+            let Some(row) = row else { continue };
+            for (d, s) in row.iter().enumerate().filter(|(_, s)| s.count > 0) {
+                times[i * width + d] = s.mean();
+            }
+            max[i] = row_max(row).unwrap_or(0.0);
+        }
+        CompCostTable { width, times, max }
+    }
+}
+
+/// Maximal mean over the profiled cells of one row.
+fn row_max(row: &[Stat]) -> Option<f64> {
+    row.iter()
+        .filter(|s| s.count > 0)
+        .map(Stat::mean)
+        .reduce(f64::max)
+}
+
+/// A dense snapshot of a [`CompCostModel`] over one graph, indexed by
+/// [`OpId`] and [`DeviceId`]; see [`CompCostModel::table`]. It does not
+/// follow later updates of the model.
+#[derive(Debug, Clone)]
+pub struct CompCostTable {
+    /// Columns per op: the widest device row among the graph's ops.
+    width: usize,
+    /// Op-major mean times, 0 where unprofiled.
+    times: Vec<f64>,
+    /// Per-op maximum over profiled devices, 0 where none.
+    max: Vec<f64>,
+}
+
+impl CompCostTable {
+    /// Mean execution time of `op` on `device`, 0 if unprofiled.
+    #[inline]
+    pub fn time(&self, op: OpId, device: DeviceId) -> f64 {
+        if device.index() < self.width {
+            self.times[op.index() * self.width + device.index()]
+        } else {
+            0.0
+        }
+    }
+
+    /// Maximal mean execution time of `op` over all profiled devices, 0 if
+    /// none — the `w_i` of the rank computation (Sec. 5.1).
+    #[inline]
+    pub fn max_time(&self, op: OpId) -> f64 {
+        self.max[op.index()]
     }
 }
 

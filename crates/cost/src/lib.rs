@@ -48,7 +48,7 @@ mod comp;
 mod linreg;
 
 pub use comm::{CommCostModel, DEFAULT_DISTRUST_FACTOR};
-pub use comp::{canonical_name, CompCostModel};
+pub use comp::{canonical_name, CompCostModel, CompCostTable};
 pub use linreg::LinReg;
 
 use fastt_graph::Graph;
