@@ -8,7 +8,7 @@
 //! `cargo bench --bench ablations` prints, per model, the simulated
 //! per-iteration time of each variant.
 
-use fastt::{data_parallel_plan, data_parallel_plan_on, dpos_with, DposFlags};
+use fastt::{data_parallel_plan, data_parallel_plan_on, dpos, dpos_with, DposOptions};
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
 use fastt_graph::{replicate, Graph};
@@ -99,28 +99,17 @@ fn dpos_variant_ablation() {
         let topo = Topology::single_server(4);
         let rep = replicate(&graph, 4).unwrap();
         let cost = bootstrapped(&rep.graph, &topo);
-        let variants = [
-            DposFlags {
-                insertion: true,
-                cp_grouping: true,
+        let variants = [(true, true), (false, true), (true, false), (false, false)].map(
+            |(insertion, cp_grouping)| DposOptions {
+                insertion,
+                cp_grouping,
+                ..DposOptions::default()
             },
-            DposFlags {
-                insertion: false,
-                cp_grouping: true,
-            },
-            DposFlags {
-                insertion: true,
-                cp_grouping: false,
-            },
-            DposFlags {
-                insertion: false,
-                cp_grouping: false,
-            },
-        ];
+        );
         let times: Vec<String> = variants
             .iter()
             .map(|f| {
-                let s = dpos_with(&rep.graph, &topo, &cost, &hw, *f);
+                let s = dpos_with(&rep.graph, &topo, &cost, &hw, f);
                 format!("{:.4}", sim_time(&rep.graph, &topo, &s))
             })
             .collect();
@@ -139,8 +128,8 @@ fn cost_model_ablation() {
         let rep = replicate(&graph, 4).unwrap();
         let learned = bootstrapped(&rep.graph, &topo);
         let orc = oracle(&rep.graph, &topo);
-        let sl = dpos_with(&rep.graph, &topo, &learned, &hw, DposFlags::default());
-        let so = dpos_with(&rep.graph, &topo, &orc, &hw, DposFlags::default());
+        let sl = dpos(&rep.graph, &topo, &learned, &hw);
+        let so = dpos(&rep.graph, &topo, &orc, &hw);
         println!(
             "| {} | {:.4} | {:.4} | {:.4} | {:.4} |",
             model.name(),

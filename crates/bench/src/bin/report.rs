@@ -470,15 +470,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             retry_totals.len(),
         );
     }
-    // Every lowered plan passed the comm-plan cycle validator (a Deadlock
-    // error would have aborted the session before this line prints).
-    println!("deadlocks: 0");
 
     elasticity_section(&events);
 
     println!("\n--- Top 10 queue-wait ops (final plan, one iteration) ---");
+    // the final plan runs on the session's final topology, which churn may
+    // have grown past the starting one
     let plan = session.current_plan();
-    let trace = plan.simulate(&topo, &HardwarePerf::new(), &SimConfig::default())?;
+    let final_topo = session.topology();
+    let trace = plan.simulate(final_topo, &HardwarePerf::new(), &SimConfig::default())?;
     let names: Vec<String> = plan.graph.iter_ops().map(|(_, o)| o.name.clone()).collect();
     let top = trace.top_queue_waits(10);
     if top.is_empty() {
@@ -621,9 +621,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         record_mem_timeline: true,
         ..SimConfig::default()
     };
-    let full = plan.simulate(&topo, &HardwarePerf::new(), &full_cfg)?;
+    let full = plan.simulate(final_topo, &HardwarePerf::new(), &full_cfg)?;
     let trace_path = outdir.join(format!("{needle}-{topo_label}.trace.json"));
-    std::fs::write(&trace_path, full.to_chrome_trace_full(&names, &topo))?;
+    std::fs::write(&trace_path, full.to_chrome_trace_full(&names, final_topo))?;
     println!("\nperfetto trace: {}", trace_path.display());
     println!("event stream  : {}", jsonl_path.display());
     Ok(())

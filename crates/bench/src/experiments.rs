@@ -419,7 +419,7 @@ pub mod fig2 {
     //! default FIFO execution order against FastT's enforced order computed for
     //! the *same* placement (isolating the ordering effect, as the paper does).
     use crate::{dp_ps_for, print_header, MEASURE_ITERS};
-    use fastt::{data_parallel_plan, data_parallel_plan_on, schedule_for_placement};
+    use fastt::{data_parallel_plan, data_parallel_plan_on, dpos_with, DposOptions};
     use fastt_cluster::Topology;
     use fastt_cost::CostModels;
     use fastt_graph::{replicate_grouped, ReplicationMode};
@@ -464,7 +464,11 @@ pub mod fig2 {
 
             // enforce the order the strategy calculator derives for the SAME
             // placement
-            let sched = schedule_for_placement(&rep.graph, &topo, &cost, &hw, &plan.placement);
+            let opts = DposOptions {
+                fixed: Some(&plan.placement),
+                ..DposOptions::default()
+            };
+            let sched = dpos_with(&rep.graph, &topo, &cost, &hw, &opts);
             plan.order = Some(sched.order);
             let mut ord_time = 0.0;
             for it in 0..MEASURE_ITERS {

@@ -8,6 +8,7 @@
 //! idle-slot insertion.
 
 use crate::rank::{critical_path, upward_ranks_with};
+use crate::strategy::Plan;
 use crate::timeline::DeviceTimeline;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::{CompCostTable, CostModels};
@@ -32,6 +33,20 @@ pub struct Schedule {
     pub finish_times: Vec<f64>,
     /// The rank-based critical path the schedule was built around.
     pub critical_path: Vec<OpId>,
+}
+
+impl Schedule {
+    /// Wraps this schedule in a [`Plan`] over `graph` (the graph it was
+    /// computed on): its placement and enforced order, no splits.
+    pub fn into_plan(self, graph: &Graph) -> Plan {
+        Plan {
+            graph: graph.clone(),
+            splits: Vec::new(),
+            placement: self.placement,
+            order: Some(self.order),
+            est_finish: self.est_finish,
+        }
+    }
 }
 
 /// Picks a critical-path device for the remaining CP ops: for each device,
@@ -75,10 +90,11 @@ fn select_cp_device(
     best
 }
 
-/// Design-choice switches for [`dpos_with`] — used by the ablation benches
-/// to quantify each ingredient of Alg. 1 (see DESIGN.md §5).
+/// Options for [`dpos_with`]. `DposOptions::default()` is the paper's
+/// untraced Alg. 1; the two design-choice switches exist for the ablation
+/// benches (see DESIGN.md §5).
 #[derive(Debug, Clone, Copy)]
-pub struct DposFlags {
+pub struct DposOptions<'a> {
     /// Idle-slot insertion (`avail[j]` as the paper defines it). Off =
     /// append-only scheduling (ops can only start after the device's last
     /// scheduled op).
@@ -86,13 +102,25 @@ pub struct DposFlags {
     /// Critical-path device grouping (Sec. 5.1). Off = every op, including
     /// CP ops, is placed by plain min-EFT.
     pub cp_grouping: bool,
+    /// A fixed placement: every op stays on its device from it, and the
+    /// run only computes an execution order (and schedule estimate). This
+    /// is how FastT orders a deployment it did not choose, e.g. the default
+    /// data-parallel placement (the paper's Fig. 2 experiment isolates
+    /// exactly this effect). It must cover the graph.
+    pub fixed: Option<&'a Placement>,
+    /// Scheduler decision tracing: every placement decision is emitted as
+    /// a `dpos.place` event carrying the chosen device and the
+    /// earliest-finish-time score of every device that was considered.
+    pub collector: Option<&'a Collector>,
 }
 
-impl Default for DposFlags {
+impl Default for DposOptions<'_> {
     fn default() -> Self {
-        DposFlags {
+        DposOptions {
             insertion: true,
             cp_grouping: true,
+            fixed: None,
+            collector: None,
         }
     }
 }
@@ -110,80 +138,24 @@ impl Default for DposFlags {
 ///
 /// Panics if `graph` contains a cycle.
 pub fn dpos(graph: &Graph, topo: &Topology, cost: &CostModels, hw: &HardwarePerf) -> Schedule {
-    dpos_impl(graph, topo, cost, hw, None, DposFlags::default(), None)
+    dpos_with(graph, topo, cost, hw, &DposOptions::default())
 }
 
-/// [`dpos`] with optional scheduler decision tracing: when `col` is `Some`,
-/// every placement decision is emitted as a `dpos.place` event carrying the
-/// chosen device and the earliest-finish-time score of every device that was
-/// considered. This is the single entry point the planner layer uses — the
-/// old `dpos_traced` duplicate is gone.
+/// [`dpos`] with explicit [`DposOptions`]: ablation switches, a fixed
+/// placement to order, and decision tracing.
 ///
 /// # Panics
 ///
-/// Panics if `graph` contains a cycle.
-pub(crate) fn dpos_opt(
-    graph: &Graph,
-    topo: &Topology,
-    cost: &CostModels,
-    hw: &HardwarePerf,
-    col: Option<&Collector>,
-) -> Schedule {
-    dpos_impl(graph, topo, cost, hw, None, DposFlags::default(), col)
-}
-
-/// [`dpos`] with explicit design-choice switches (ablations).
-///
-/// # Panics
-///
-/// Panics if `graph` contains a cycle.
+/// Panics if `graph` contains a cycle, or if `opts.fixed` does not cover
+/// it.
 pub fn dpos_with(
     graph: &Graph,
     topo: &Topology,
     cost: &CostModels,
     hw: &HardwarePerf,
-    flags: DposFlags,
+    opts: &DposOptions<'_>,
 ) -> Schedule {
-    dpos_impl(graph, topo, cost, hw, None, flags, None)
-}
-
-/// Computes an execution order (and schedule estimate) for a **fixed**
-/// placement: the same list-scheduling pass as [`dpos`], but every op is
-/// pinned to its device from `placement`. This is how FastT derives an
-/// enforced execution order for a deployment it did not choose — e.g.
-/// ordering the default data-parallel placement (the paper's Fig. 2
-/// experiment isolates exactly this effect).
-///
-/// # Panics
-///
-/// Panics if `graph` contains a cycle or `placement` does not cover it.
-pub fn schedule_for_placement(
-    graph: &Graph,
-    topo: &Topology,
-    cost: &CostModels,
-    hw: &HardwarePerf,
-    placement: &Placement,
-) -> Schedule {
-    dpos_impl(
-        graph,
-        topo,
-        cost,
-        hw,
-        Some(placement),
-        DposFlags::default(),
-        None,
-    )
-}
-
-fn dpos_impl(
-    graph: &Graph,
-    topo: &Topology,
-    cost: &CostModels,
-    hw: &HardwarePerf,
-    fixed: Option<&Placement>,
-    flags: DposFlags,
-    col: Option<&Collector>,
-) -> Schedule {
+    let col = opts.collector;
     if let Some(col) = col {
         col.metrics().inc("dpos.runs");
     }
@@ -390,11 +362,11 @@ fn dpos_impl(
         let need = hw.planning_bytes(graph.op_ref(o));
 
         // Candidate devices.
-        let candidates: Vec<DeviceId> = if let Some(p) = fixed {
+        let candidates: Vec<DeviceId> = if let Some(p) = opts.fixed {
             vec![p.device_of(o)]
         } else if let Some(d) = forced[o.index()] {
             vec![d]
-        } else if flags.cp_grouping && on_cp[o.index()] {
+        } else if opts.cp_grouping && on_cp[o.index()] {
             // refresh the CP device if this op no longer fits on it
             let cap = topo.device(cp_device).mem_bytes;
             if mem_used[cp_device.index()] + need > cap {
@@ -434,7 +406,7 @@ fn dpos_impl(
         for &d in &candidates {
             let w = comp.time(o, d);
             let ready = ready_time(o, d, &ft, &placement, &chan, &xfer_done);
-            let est = if flags.insertion {
+            let est = if opts.insertion {
                 timelines[d.index()].earliest_slot(ready, w)
             } else {
                 ready.max(timelines[d.index()].horizon())
@@ -684,6 +656,72 @@ mod tests {
         assert_eq!(s.est_finish, 0.0);
     }
 
+    /// A seeded random DAG (edges run from lower to higher ids) with
+    /// profiled per-device costs on `gpus` GPUs.
+    fn seeded_graph(seed: u64, gpus: u16) -> (Graph, CostModels) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut g = Graph::new();
+        let mut cost = CostModels::new();
+        let n = 5 + next() % 36;
+        for i in 0..n {
+            let name = format!("o{i}");
+            let id = g
+                .add_op(Operation::new(&name, OpKind::MatMul, [64u64, 64]).with_flops(1 << 20))
+                .unwrap();
+            for d in 0..gpus {
+                let t = 0.001 + (next() % 100) as f64 / 10_000.0;
+                cost.comp.observe(&name, DeviceId(d), t);
+            }
+            for _ in 0..(next() % 3).min(i) {
+                let _ = g.connect(OpId((next() % i) as u32), id);
+            }
+        }
+        (g, cost)
+    }
+
+    /// The order-only path: with `fixed` set, every op stays on its pinned
+    /// device — both DPOS's own placement and an arbitrary round-robin one
+    /// — and the emitted order is a topological order of the graph.
+    #[test]
+    fn fixed_placement_keeps_every_pin_and_orders_topologically() {
+        let hw = HardwarePerf::new();
+        for seed in 0..8u64 {
+            let gpus = 1 + (seed % 4) as u16;
+            let topo = Topology::single_server(gpus);
+            let (g, cost) = seeded_graph(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), gpus);
+            let free = dpos(&g, &topo, &cost, &hw);
+            let round_robin = Placement::new(
+                g.op_ids()
+                    .map(|o| DeviceId((o.index() % gpus as usize) as u16))
+                    .collect(),
+            );
+            for pin in [&free.placement, &round_robin] {
+                let opts = DposOptions {
+                    fixed: Some(pin),
+                    ..DposOptions::default()
+                };
+                let s = dpos_with(&g, &topo, &cost, &hw, &opts);
+                for o in g.op_ids() {
+                    assert_eq!(s.placement.device_of(o), pin.device_of(o), "seed {seed}");
+                }
+                let mut pos = vec![usize::MAX; g.op_count()];
+                for (i, &o) in s.order.iter().enumerate() {
+                    pos[o.index()] = i;
+                }
+                assert!(pos.iter().all(|&p| p != usize::MAX), "seed {seed}");
+                for e in g.iter_edges() {
+                    assert!(pos[e.src.index()] < pos[e.dst.index()], "seed {seed}");
+                }
+            }
+        }
+    }
+
     /// An unprofiled cross-server link must not beat a profiled local one.
     /// Before the pessimistic fallback, a missing communication fit counted
     /// as a free transfer, so min-EFT happily shipped a 100 MB tensor to the
@@ -710,11 +748,11 @@ mod tests {
         cost.comm.observe(D0, D1, 100_000_000, 2e-3);
         cost.comm.refit();
         // plain min-EFT (no CP grouping, which would colocate the chain)
-        let flags = DposFlags {
-            insertion: true,
+        let opts = DposOptions {
             cp_grouping: false,
+            ..DposOptions::default()
         };
-        let s = dpos_with(&g, &topo, &cost, &HardwarePerf::new(), flags);
+        let s = dpos_with(&g, &topo, &cost, &HardwarePerf::new(), &opts);
         // the profiled 2 ms hop to device 1 beats the analytic ~26 ms
         // staged route (PCIe + RDMA + PCIe) to either cross-server device
         assert_eq!(s.placement.device_of(a), D0);

@@ -15,8 +15,8 @@
 //!
 //! The central entry points are:
 //!
-//! * [`dpos`] / [`dpos_plan`] — Alg. 1, Device Placement and Operation
-//!   Sequencing;
+//! * [`dpos`] / [`dpos_with`] — Alg. 1, Device Placement and Operation
+//!   Sequencing ([`Schedule::into_plan`] wraps a schedule as a [`Plan`]);
 //! * [`os_dpos`] — Alg. 2, critical-path operation splitting on top of DPOS;
 //! * [`TrainingSession`] — the paper's full workflow: bootstrap the cost
 //!   models with a start strategy, recompute strategies, activate or roll
@@ -64,12 +64,12 @@ mod session;
 mod strategy;
 mod timeline;
 
-pub use dpos::{dpos, dpos_with, schedule_for_placement, DposFlags, Schedule};
+pub use dpos::{dpos, dpos_with, DposOptions, Schedule};
 pub use error::FastTError;
 pub use fleet::{
     fleet_slos, seeded_workload, ClusterManager, FleetEvent, FleetReport, JobSpec, JobStats,
 };
-pub use os_dpos::{dpos_plan, os_dpos, OsDposOptions};
+pub use os_dpos::{os_dpos, OsDposOptions};
 pub use pipeline::pipeline_plan;
 pub use planner::{
     default_slos, region_tree_for, CandidateOutcome, DataParallelPlanner, DposPlanner, Fingerprint,
@@ -79,6 +79,8 @@ pub use planner::{
 };
 pub use profiling::bootstrap_cost_models;
 pub use rank::{critical_path, critical_path_placed, upward_ranks};
-pub use session::{LadderRung, PreTrainReport, RecoveryEvent, SessionConfig, TrainingSession};
+pub use session::{
+    LadderRung, PreTrainReport, RecoveryEvent, SessionConfig, TrainingSession, DEGRADED_SLOWDOWN,
+};
 pub use strategy::{data_parallel_plan, data_parallel_plan_on, model_parallel_plan, Plan};
 pub use timeline::DeviceTimeline;

@@ -6,7 +6,7 @@
 //! estimate of `FT(o_exit)` improves, and stop at the first operation whose
 //! best split does not improve it (Sec. 5.2).
 
-use crate::dpos::{dpos, dpos_opt};
+use crate::dpos::{dpos, dpos_with, DposOptions};
 use crate::rank::critical_path_placed_with;
 use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
@@ -42,31 +42,6 @@ impl OsDposOptions {
     }
 }
 
-/// Runs plain DPOS and wraps the result in a [`Plan`] (no splitting).
-pub fn dpos_plan(graph: &Graph, topo: &Topology, cost: &CostModels, hw: &HardwarePerf) -> Plan {
-    dpos_plan_opt(graph, topo, cost, hw, None)
-}
-
-/// [`dpos_plan`] with an optional collector for scheduler decision tracing
-/// (`dpos.place` events). The planner layer threads the context's collector
-/// through here — there is no separate `*_traced` duplicate.
-pub(crate) fn dpos_plan_opt(
-    graph: &Graph,
-    topo: &Topology,
-    cost: &CostModels,
-    hw: &HardwarePerf,
-    col: Option<&Collector>,
-) -> Plan {
-    let s = dpos_opt(graph, topo, cost, hw, col);
-    Plan {
-        graph: graph.clone(),
-        splits: Vec::new(),
-        placement: s.placement,
-        order: Some(s.order),
-        est_finish: s.est_finish,
-    }
-}
-
 /// Runs OS-DPOS: DPOS plus critical-path operation splitting.
 ///
 /// Freshly created sub-operations are seeded in the computation cost model
@@ -96,7 +71,16 @@ pub(crate) fn os_dpos_opt(
     opts: &OsDposOptions,
     col: Option<&Collector>,
 ) -> Plan {
-    let base = dpos_opt(graph, topo, cost, hw, col);
+    let base = dpos_with(
+        graph,
+        topo,
+        cost,
+        hw,
+        &DposOptions {
+            collector: col,
+            ..DposOptions::default()
+        },
+    );
     let mut ft_old = base.est_finish;
 
     // Critical path under the actual placement, by descending compute time.
@@ -339,11 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn dpos_plan_has_no_splits_but_an_order() {
+    fn dpos_into_plan_has_no_splits_but_an_order() {
         let topo = Topology::single_server(2);
         let mut cost = CostModels::new();
         let g = heavy_conv_graph(&mut cost, &topo);
-        let plan = dpos_plan(&g, &topo, &cost, &HardwarePerf::new());
+        let plan = dpos(&g, &topo, &cost, &HardwarePerf::new()).into_plan(&g);
         assert!(plan.splits.is_empty());
         assert_eq!(plan.order.as_ref().unwrap().len(), g.op_count());
     }

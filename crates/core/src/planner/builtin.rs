@@ -3,9 +3,10 @@
 //! parallelism, and pipeline parallelism. The five black-box searchers live
 //! next to their algorithms in [`crate::search`].
 
-use super::{hash_params, Planner, PlannerKind, PlanningContext};
+use super::{Planner, PlannerKind, PlanningContext};
+use crate::dpos::{dpos_with, DposOptions};
 use crate::error::FastTError;
-use crate::os_dpos::{dpos_plan_opt, os_dpos_opt, OsDposOptions};
+use crate::os_dpos::{os_dpos_opt, OsDposOptions};
 use crate::strategy::{data_parallel_plan, data_parallel_plan_on, model_parallel_plan, Plan};
 use fastt_graph::{replicate_grouped, ReplicationMode};
 
@@ -24,8 +25,12 @@ impl Planner for DposPlanner {
     }
 
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
-        let col = ctx.collector.clone();
-        let mut plan = dpos_plan_opt(ctx.graph, ctx.topo, &ctx.cost, ctx.hw, col.as_deref());
+        let opts = DposOptions {
+            collector: ctx.collector.as_deref(),
+            ..DposOptions::default()
+        };
+        let mut plan =
+            dpos_with(ctx.graph, ctx.topo, &ctx.cost, ctx.hw, &opts).into_plan(ctx.graph);
         if !ctx.enable_order {
             plan.order = None;
         }
@@ -35,13 +40,10 @@ impl Planner for DposPlanner {
 
 /// Alg. 2: DPOS plus critical-path operation splitting. Seeds analytic
 /// priors for fresh sub-operations into the context's cost models — the
-/// winner's mutated clone is what the session adopts back.
-#[derive(Debug, Clone, Default)]
-pub struct OsDposPlanner {
-    /// Split-search options; `None` derives defaults from the context's
-    /// topology ([`OsDposOptions::for_topology`]).
-    pub opts: Option<OsDposOptions>,
-}
+/// winner's mutated clone is what the session adopts back. The split
+/// search uses [`OsDposOptions::for_topology`] on the context's topology.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OsDposPlanner;
 
 impl Planner for OsDposPlanner {
     fn name(&self) -> &'static str {
@@ -52,22 +54,8 @@ impl Planner for OsDposPlanner {
         PlannerKind::WhiteBox
     }
 
-    fn fingerprint_extra(&self) -> u64 {
-        match &self.opts {
-            None => 0,
-            Some(o) => {
-                let mut parts: Vec<u64> = o.split_counts.iter().map(|&c| c as u64).collect();
-                parts.push(o.max_splits as u64);
-                hash_params(&parts)
-            }
-        }
-    }
-
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
-        let opts = self
-            .opts
-            .clone()
-            .unwrap_or_else(|| OsDposOptions::for_topology(ctx.topo));
+        let opts = OsDposOptions::for_topology(ctx.topo);
         let col = ctx.collector.clone();
         let mut plan = os_dpos_opt(
             ctx.graph,
@@ -113,13 +101,11 @@ impl Planner for OrderOnlyPlanner {
         let cur = ctx.current.ok_or(FastTError::InvalidArgument(
             "order-only planning needs the current plan in the context",
         ))?;
-        let s = crate::dpos::schedule_for_placement(
-            &cur.graph,
-            ctx.topo,
-            &ctx.cost,
-            ctx.hw,
-            &cur.placement,
-        );
+        let opts = DposOptions {
+            fixed: Some(&cur.placement),
+            ..DposOptions::default()
+        };
+        let s = dpos_with(&cur.graph, ctx.topo, &ctx.cost, ctx.hw, &opts);
         Ok(Plan {
             graph: cur.graph.clone(),
             splits: cur.splits.clone(),

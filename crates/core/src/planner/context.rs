@@ -104,29 +104,11 @@ impl<'a> PlanningContext<'a> {
         self
     }
 
-    /// Enables or disables order enforcement.
-    pub fn with_order(mut self, enable: bool) -> Self {
-        self.enable_order = enable;
-        self
-    }
-
-    /// Pins the data-parallel parameter server.
-    pub fn with_dp_ps(mut self, ps: Option<DeviceId>) -> Self {
-        self.dp_ps = ps;
-        self
-    }
-
     /// Attaches a plan cache for region-granular sub-plan reuse, with the
     /// session's cache salt.
     pub fn with_region_cache(mut self, cache: &'a PlanCache, salt: u64) -> Self {
         self.region_cache = Some(cache);
         self.cache_salt = salt;
         self
-    }
-
-    /// The collector as a borrowed tracer, for passing down into the
-    /// scheduling internals.
-    pub fn tracer(&self) -> Option<&Collector> {
-        self.collector.as_deref()
     }
 }

@@ -28,9 +28,9 @@
 //!
 //! [`Portfolio`]: super::Portfolio
 
-use super::{hash_params, Planner, PlannerKind, PlanningContext};
+use super::{Planner, PlannerKind, PlanningContext};
+use crate::dpos::{dpos, dpos_with, DposOptions};
 use crate::error::FastTError;
-use crate::os_dpos::dpos_plan_opt;
 use crate::planner::cache::Fingerprint;
 use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
@@ -83,13 +83,11 @@ pub fn region_tree_for(graph: &Graph) -> (Arc<RegionTree>, f64) {
 
 /// Hierarchical planner: DPOS across the region quotient, DPOS (or the
 /// identity, for small regions) within each region, region-granular plan
-/// caching, and a repaired, validated per-op expansion.
+/// caching, and a repaired, validated per-op expansion. The decomposition
+/// uses [`DecomposeOptions::for_graph`] through the shared memo
+/// ([`region_tree_for`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HierarchicalPlanner {
-    /// Decomposition override; `None` uses [`DecomposeOptions::for_graph`]
-    /// (and the shared memo — custom options bypass it).
-    pub opts: Option<DecomposeOptions>,
-}
+pub struct HierarchicalPlanner;
 
 impl Planner for HierarchicalPlanner {
     fn name(&self) -> &'static str {
@@ -102,17 +100,6 @@ impl Planner for HierarchicalPlanner {
 
     fn uses_regions(&self) -> bool {
         true
-    }
-
-    fn fingerprint_extra(&self) -> u64 {
-        match &self.opts {
-            None => 0,
-            Some(o) => hash_params(&[
-                o.max_region_ops as u64,
-                o.max_rounds as u64,
-                o.dfs_budget as u64,
-            ]),
-        }
     }
 
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
@@ -129,23 +116,25 @@ impl Planner for HierarchicalPlanner {
         let col = ctx.collector.clone();
         let _hier_phase = col.as_deref().map(|c| c.phase("hierarchical"));
 
-        // 1. Decompose (memoized for default options).
+        // 1. Decompose (memoized).
         let decomp_phase = col.as_deref().map(|c| c.phase("decompose"));
-        let (tree, decompose_secs) = match self.opts {
-            None => region_tree_for(graph),
-            Some(o) => {
-                let t0 = Instant::now();
-                let t = Arc::new(decompose_with(graph, o));
-                (t, t0.elapsed().as_secs_f64())
-            }
-        };
+        let (tree, decompose_secs) = region_tree_for(graph);
         drop(decomp_phase);
 
         // 2. Across: DPOS on the quotient graph.
         let across_phase = col.as_deref().map(|c| c.phase("across"));
         let t_across = Instant::now();
         let (qgraph, qcost) = build_quotient(graph, &tree, ctx)?;
-        let qplan = dpos_plan_opt(&qgraph, ctx.topo, &qcost, ctx.hw, col.as_deref());
+        let qsched = dpos_with(
+            &qgraph,
+            ctx.topo,
+            &qcost,
+            ctx.hw,
+            &DposOptions {
+                collector: col.as_deref(),
+                ..DposOptions::default()
+            },
+        );
         let across_secs = t_across.elapsed().as_secs_f64();
         drop(across_phase);
 
@@ -155,7 +144,7 @@ impl Planner for HierarchicalPlanner {
         let mut devices: Vec<DeviceId> = Vec::with_capacity(graph.op_count());
         devices.resize(graph.op_count(), DeviceId(0));
         for (id, r) in tree.regions() {
-            let home = qplan.placement.device_of(fastt_graph::OpId(id.0));
+            let home = qsched.placement.device_of(fastt_graph::OpId(id.0));
             for &op in &r.ops {
                 devices[op.index()] = home;
             }
@@ -166,7 +155,7 @@ impl Planner for HierarchicalPlanner {
             if r.len() <= REFINE_THRESHOLD {
                 continue;
             }
-            let home = qplan.placement.device_of(fastt_graph::OpId(id.0));
+            let home = qsched.placement.device_of(fastt_graph::OpId(id.0));
             let server = ctx.topo.server_of(home);
             let narrow = narrowed
                 .entry(server)
@@ -207,7 +196,7 @@ impl Planner for HierarchicalPlanner {
         // boundary traffic. No per-op order is pinned: the sub-plans were
         // placed independently, so the simulator's own list scheduler
         // sequences ops (probe-and-pick arbitration judges the result).
-        let est_finish = qplan.est_finish;
+        let est_finish = qsched.est_finish;
 
         if let Some(col) = ctx.collector.as_deref() {
             let m = col.metrics();
@@ -319,7 +308,7 @@ fn refine_region(
     }
 
     let sub = induced_subgraph(graph, &r.ops);
-    let plan = dpos_plan_opt(&sub, narrow, &ctx.cost, ctx.hw, None);
+    let plan = dpos(&sub, narrow, &ctx.cost, ctx.hw).into_plan(&sub);
     for (i, &op) in r.ops.iter().enumerate() {
         devices[op.index()] = plan.placement.device_of(OpId(i as u32));
     }
@@ -462,12 +451,12 @@ mod tests {
         let hw = HardwarePerf::new();
         let plan1 = {
             let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
-            HierarchicalPlanner::default().plan(&mut ctx).unwrap()
+            HierarchicalPlanner.plan(&mut ctx).unwrap()
         };
         plan1.placement.validate(&g, &topo).unwrap();
         let plan2 = {
             let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
-            HierarchicalPlanner::default().plan(&mut ctx).unwrap()
+            HierarchicalPlanner.plan(&mut ctx).unwrap()
         };
         let d1: Vec<DeviceId> = plan1.placement.iter().map(|(_, d)| d).collect();
         let d2: Vec<DeviceId> = plan2.placement.iter().map(|(_, d)| d).collect();
@@ -481,7 +470,7 @@ mod tests {
         let topo = Topology::single_server(4);
         let hw = HardwarePerf::new();
         let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
-        let plan = HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+        let plan = HierarchicalPlanner.plan(&mut ctx).unwrap();
         for group in g.colocation_groups() {
             let d0 = plan.placement.device_of(group[0]);
             for &op in group {

@@ -10,6 +10,20 @@ use fastt_cluster::{DeviceHealth, DeviceId};
 use fastt_sim::{FaultSchedule, LifecycleKind};
 use fastt_telemetry::jobj;
 
+/// Iterations a re-admitted device spends in quarantine before it rejoins
+/// the plannable capacity. Re-admission is explicit: a device that dies
+/// again mid-quarantine is dropped and a fresh arrival must restart the
+/// ladder — flapping devices are never auto-readmitted.
+const QUARANTINE_ITERS: u64 = 2;
+
+/// Minimum iterations between promotion attempts after capacity growth
+/// (hysteresis: keeps spot churn from thrashing plans).
+const PROMOTE_COOLDOWN_ITERS: u64 = 3;
+
+/// Relative per-replica improvement a growth candidate must show over the
+/// incumbent before it is promoted (hysteresis margin).
+const PROMOTE_MARGIN: f64 = 0.02;
+
 impl TrainingSession {
     /// Applies every scripted lifecycle event that has come due — spot
     /// revocations (drained proactively when the notice window allows),
@@ -121,7 +135,7 @@ impl TrainingSession {
     /// A device (re-)announced itself. Re-admission is explicit: the
     /// device enters quarantine (`Failed` → `Quarantined` in the
     /// [`fastt_cluster::HealthMap`]) and only rejoins the plannable
-    /// capacity after `quarantine_iters` iterations of probation. Arrivals
+    /// capacity after [`QUARANTINE_ITERS`] iterations of probation. Arrivals
     /// for devices outside the session's allocation are ignored — under a
     /// fleet manager they belong to some other job.
     fn handle_arrival(&mut self, device: DeviceId) {
@@ -143,11 +157,11 @@ impl TrainingSession {
             jobj! {
                 "device" => device.0 as u64,
                 "iteration" => iteration,
-                "until" => iteration + self.config.quarantine_iters,
+                "until" => iteration + QUARANTINE_ITERS,
             },
         );
         self.pending_restores
-            .push((iteration + self.config.quarantine_iters, device));
+            .push((iteration + QUARANTINE_ITERS, device));
     }
 
     /// Ends a device's quarantine. Unless it died again or its server is
@@ -253,7 +267,7 @@ impl TrainingSession {
     pub(super) fn try_promote(&mut self) -> Result<(), FastTError> {
         let iteration = self.iteration;
         if let Some(last) = self.last_promotion_attempt {
-            if iteration < last + self.config.promote_cooldown_iters {
+            if iteration < last + PROMOTE_COOLDOWN_ITERS {
                 return Ok(()); // still cooling down; the attempt stays pending
             }
         }
@@ -278,8 +292,7 @@ impl TrainingSession {
                 best = Some((i, score, m));
             }
         }
-        let adopt =
-            best.filter(|&(_, score, _)| score < incumbent * (1.0 - self.config.promote_margin));
+        let adopt = best.filter(|&(_, score, _)| score < incumbent * (1.0 - PROMOTE_MARGIN));
         let Some((i, score, raw)) = adopt else {
             if let Some(col) = &self.collector {
                 col.metrics().inc("session.promotions_held");
@@ -291,7 +304,7 @@ impl TrainingSession {
                     "survivors" => survivors as u64,
                     "incumbent" => incumbent,
                     "candidate" => best.map(|(_, s, _)| s).unwrap_or(f64::INFINITY),
-                    "margin" => self.config.promote_margin,
+                    "margin" => PROMOTE_MARGIN,
                 },
             );
             return Ok(());

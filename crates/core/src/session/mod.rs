@@ -24,8 +24,7 @@ mod recovery;
 use crate::error::FastTError;
 use crate::planner::{
     DataParallelPlanner, DposPlanner, HierarchicalPlanner, ModelParallelPlanner, OrderOnlyPlanner,
-    OsDposPlanner, PlanCache, Planner, PlannerKind, PlanningContext, Portfolio, PortfolioInputs,
-    PortfolioOutcome,
+    OsDposPlanner, PlanCache, Planner, PlannerKind, Portfolio, PortfolioInputs, PortfolioOutcome,
 };
 use crate::strategy::Plan;
 use fastt_cluster::{Allocation, DeviceHealth, DeviceId, HealthMap, Topology};
@@ -37,6 +36,24 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Relative cost-model drift below which the models count as stable.
+const STABILITY_EPS: f64 = 0.05;
+
+/// Transient-failure retries per iteration before the failing device is
+/// blacklisted and the session re-plans.
+const MAX_TRANSIENT_RETRIES: u32 = 4;
+
+/// Base of the exponential retry backoff, in seconds: attempt `k` backs off
+/// `RETRY_BACKOFF_BASE * 2^k`. Reported through `session.retry` telemetry
+/// (the simulated cluster does not actually sleep).
+const RETRY_BACKOFF_BASE: f64 = 0.05;
+
+/// Measured-over-predicted duration ratio at or above which a device
+/// (`health.degraded`) or a directed link (`health.link_degraded`) is
+/// flagged as degraded; a distrusted link is restored once it measures at
+/// or below the inverse ratio.
+pub const DEGRADED_SLOWDOWN: f64 = 1.5;
+
 /// Session tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -44,8 +61,6 @@ pub struct SessionConfig {
     pub profile_iters: u32,
     /// Maximum bootstrap rounds before pre-training is forced to end.
     pub max_rounds: u32,
-    /// Relative cost-model drift below which the models count as stable.
-    pub stability_eps: f64,
     /// Simulated execution-time noise (matches real profiling variance).
     pub jitter_pct: f64,
     /// Seed for the deterministic noise stream.
@@ -64,28 +79,6 @@ pub struct SessionConfig {
     /// iteration (see [`FaultSchedule`]); `None` trains on a healthy
     /// cluster with behaviour bit-identical to a fault-free build.
     pub faults: Option<Arc<FaultSchedule>>,
-    /// Transient-failure retries per iteration before the failing device is
-    /// blacklisted and the session re-plans.
-    pub max_transient_retries: u32,
-    /// Base of the exponential retry backoff, in seconds: attempt `k`
-    /// backs off `retry_backoff_base * 2^k`. Reported through
-    /// `session.retry` telemetry (the simulated cluster does not actually
-    /// sleep).
-    pub retry_backoff_base: f64,
-    /// Measured-over-predicted per-device duration ratio above which a
-    /// device is flagged as degraded (`health.degraded`).
-    pub degraded_slowdown: f64,
-    /// Iterations a re-admitted device spends in quarantine before it
-    /// rejoins the plannable capacity. Re-admission is explicit: a device
-    /// that dies again mid-quarantine is dropped and a fresh arrival must
-    /// restart the ladder — flapping devices are never auto-readmitted.
-    pub quarantine_iters: u64,
-    /// Minimum iterations between promotion attempts after capacity
-    /// growth (hysteresis: keeps spot churn from thrashing plans).
-    pub promote_cooldown_iters: u64,
-    /// Relative per-replica improvement a growth candidate must show over
-    /// the incumbent before it is promoted (hysteresis margin).
-    pub promote_margin: f64,
     /// Salt folded into plan-cache fingerprints once the session's cost
     /// models have been fitted (generation > 0). Jobs sharing one
     /// [`PlanCache`] must use distinct salts so their independently
@@ -101,19 +94,12 @@ impl Default for SessionConfig {
         SessionConfig {
             profile_iters: 3,
             max_rounds: 6,
-            stability_eps: 0.05,
             jitter_pct: 0.02,
             seed: 7,
             enable_split: true,
             enable_order: true,
             dp_ps: None,
             faults: None,
-            max_transient_retries: 4,
-            retry_backoff_base: 0.05,
-            degraded_slowdown: 1.5,
-            quarantine_iters: 2,
-            promote_cooldown_iters: 3,
-            promote_margin: 0.02,
             cache_salt: 0,
         }
     }
@@ -442,7 +428,7 @@ impl TrainingSession {
             // cache (whole-plan + region sub-plans) at admission and serves
             // as a region-granular packing fallback when both classical
             // start strategies are infeasible.
-            .with(Box::new(HierarchicalPlanner::default()));
+            .with(Box::new(HierarchicalPlanner));
         let inputs = PortfolioInputs {
             graph: training_graph,
             raw: Some(training_graph),
@@ -673,7 +659,7 @@ impl TrainingSession {
     /// "No split" ablation).
     fn main_planner(&self) -> Box<dyn Planner> {
         if self.config.enable_split {
-            Box::new(OsDposPlanner::default())
+            Box::new(OsDposPlanner)
         } else {
             Box::new(DposPlanner)
         }
@@ -734,9 +720,8 @@ impl TrainingSession {
                 match self.current.simulate(self.alloc.topo(), &self.hw, &cfg) {
                     Err(SimError::Transient {
                         device, iteration, ..
-                    }) if attempt < self.config.max_transient_retries => {
-                        let backoff =
-                            self.config.retry_backoff_base * f64::powi(2.0, attempt as i32);
+                    }) if attempt < MAX_TRANSIENT_RETRIES => {
+                        let backoff = RETRY_BACKOFF_BASE * f64::powi(2.0, attempt as i32);
                         self.recovery_log.push(RecoveryEvent::Retry {
                             device,
                             iteration,
@@ -836,7 +821,7 @@ impl TrainingSession {
 
     /// Health detection (tentpole (a)): compares each device's measured op
     /// durations in `trace` against the cost models' *pre-update*
-    /// predictions; a device running `degraded_slowdown`× slower than
+    /// predictions; a device running [`DEGRADED_SLOWDOWN`]× slower than
     /// predicted is flagged (`health.degraded`), and unflagged once the
     /// ratio normalizes (the adaptive models absorb persistent slowdowns,
     /// so the flag marks the transition, not the steady state).
@@ -862,7 +847,7 @@ impl TrainingSession {
             let ratio = m / p;
             let was_degraded =
                 matches!(self.alloc.health().health(d), DeviceHealth::Degraded { .. });
-            if ratio >= self.config.degraded_slowdown {
+            if ratio >= DEGRADED_SLOWDOWN {
                 if !was_degraded {
                     self.recovery_log.push(RecoveryEvent::Degraded {
                         device: d,
@@ -898,7 +883,7 @@ impl TrainingSession {
     /// Link-level health detection: aggregates each directed physical hop's
     /// measured transfer time in `trace` against the communication model's
     /// *pre-update* per-link-class predictions. A hop running
-    /// `degraded_slowdown`× slower than predicted is flagged
+    /// [`DEGRADED_SLOWDOWN`]× slower than predicted is flagged
     /// (`health.link_degraded`), marked degraded in the [`HealthMap`] and
     /// the topology's belief mask, and its cost prior re-seeded
     /// pessimistically ([`CostModels::distrust_link`]) so planners route
@@ -935,7 +920,7 @@ impl TrainingSession {
             }
             let ratio = m / p;
             let distrusted = self.cost.comm.is_distrusted(src, dst);
-            if !distrusted && ratio >= self.config.degraded_slowdown {
+            if !distrusted && ratio >= DEGRADED_SLOWDOWN {
                 self.recovery_log.push(RecoveryEvent::LinkDegraded {
                     src,
                     dst,
@@ -956,7 +941,7 @@ impl TrainingSession {
                 self.alloc.health_mut().mark_link_degraded(src, dst, ratio);
                 self.alloc.topo_mut().degrade_link(src, dst, ratio);
                 self.cost.distrust_link(src, dst, ratio);
-            } else if distrusted && ratio <= 1.0 / self.config.degraded_slowdown {
+            } else if distrusted && ratio <= 1.0 / DEGRADED_SLOWDOWN {
                 // measured far below the pessimistic line: the hop healed
                 self.alloc.health_mut().mark_link_healthy(src, dst);
                 self.alloc.topo_mut().restore_link(src, dst);
@@ -1019,24 +1004,6 @@ impl TrainingSession {
         outcome.into_winning_plan().expect("DPOS planning is total")
     }
 
-    /// Computes the low-risk candidate: keep the current plan's graph and
-    /// placement, only enforce the execution order the strategy calculator
-    /// derives for it (the ordering-only lever of the paper's Fig. 2).
-    /// Returns `None` when order enforcement is disabled.
-    pub fn compute_order_candidate(&self) -> Option<Plan> {
-        if !self.config.enable_order {
-            return None;
-        }
-        let mut ctx = PlanningContext::new(
-            &self.base_graph,
-            self.alloc.topo(),
-            &self.hw,
-            self.cost.clone(),
-        )
-        .with_current(&self.current);
-        OrderOnlyPlanner.plan(&mut ctx).ok()
-    }
-
     /// Replaces the hardware model mid-session (used by tests and the drift
     /// experiments: real clusters change behaviour — thermal throttling,
     /// congestion — and the paper's periodic re-profiling exists to absorb
@@ -1083,13 +1050,13 @@ impl TrainingSession {
                 let measured = self.profile(1)?;
                 total += measured;
                 done += 1;
-                if !self.cost.is_stable(self.config.stability_eps) {
+                if !self.cost.is_stable(STABILITY_EPS) {
                     self.emit(
                         "session.drift",
                         jobj! {
                             "iteration" => self.iteration,
                             "drift" => self.cost.comp.max_drift(),
-                            "eps" => self.config.stability_eps,
+                            "eps" => STABILITY_EPS,
                         },
                     );
                     if let Some(col) = &self.collector {
@@ -1201,7 +1168,7 @@ impl TrainingSession {
             // round: on deep stacked models its quotient-graph pass is far
             // cheaper, and the est-sorted activation loop below keeps
             // whichever estimate wins honest against measurement.
-            portfolio.push(Box::new(HierarchicalPlanner::default()));
+            portfolio.push(Box::new(HierarchicalPlanner));
             if self.config.enable_order {
                 portfolio.push(Box::new(OrderOnlyPlanner));
             }
@@ -1324,7 +1291,7 @@ impl TrainingSession {
             }
             report.history.push(self.measured);
 
-            if self.cost.is_stable(self.config.stability_eps) && report.rounds >= 2 {
+            if self.cost.is_stable(STABILITY_EPS) && report.rounds >= 2 {
                 break;
             }
         }

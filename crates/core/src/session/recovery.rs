@@ -406,7 +406,7 @@ impl TrainingSession {
         // tree is structure-keyed, so after a failure it reuses the
         // decomposition (and any cached region sub-plans) and only re-runs
         // the cheap quotient pass over the shrunken topology.
-        portfolio.push(Box::new(HierarchicalPlanner::default()));
+        portfolio.push(Box::new(HierarchicalPlanner));
         if !dp_ok {
             portfolio.push(Box::new(ModelParallelPlanner));
         }

@@ -5,7 +5,7 @@
 //! Property-based tests of DPOS and OS-DPOS on random DAGs with random
 //! profiled costs.
 
-use fastt::{dpos, os_dpos, schedule_for_placement, OsDposOptions};
+use fastt::{dpos, dpos_with, os_dpos, DposOptions, OsDposOptions};
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
 use fastt_graph::{Graph, OpId, OpKind, Operation};
@@ -108,11 +108,12 @@ proptest! {
 
     /// Pinning the DPOS placement reproduces the same device assignment.
     #[test]
-    fn schedule_for_placement_respects_the_pin((g, cost, gpus) in arb_instance()) {
+    fn fixed_placement_respects_the_pin((g, cost, gpus) in arb_instance()) {
         let topo = Topology::single_server(gpus);
         let hw = HardwarePerf::new();
         let free = dpos(&g, &topo, &cost, &hw);
-        let pinned = schedule_for_placement(&g, &topo, &cost, &hw, &free.placement);
+        let opts = DposOptions { fixed: Some(&free.placement), ..DposOptions::default() };
+        let pinned = dpos_with(&g, &topo, &cost, &hw, &opts);
         for o in g.op_ids() {
             prop_assert_eq!(pinned.placement.device_of(o), free.placement.device_of(o));
         }
@@ -158,14 +159,14 @@ proptest! {
         let cfg = SimConfig { jitter_pct: 0.0, ..SimConfig::default() };
         let t2 = Topology::single_server(2);
         let t4 = Topology::single_server(4);
-        let small_plan = fastt::dpos_plan(&g, &t2, &cost, &hw);
+        let small_plan = dpos(&g, &t2, &cost, &hw).into_plan(&g);
         let small = small_plan.simulate(&t2, &hw, &cfg).unwrap().makespan;
         let carried = small_plan.simulate(&t4, &hw, &cfg).unwrap().makespan;
         prop_assert!(
             (carried - small).abs() <= 1e-9 * small.max(1.0),
             "idle devices changed an unrelated plan's time: {carried} vs {small}"
         );
-        let big_plan = fastt::dpos_plan(&g, &t4, &cost, &hw);
+        let big_plan = dpos(&g, &t4, &cost, &hw).into_plan(&g);
         let big = big_plan.simulate(&t4, &hw, &cfg).unwrap().makespan;
         prop_assert!(
             big.min(carried) <= small + 1e-9,
@@ -183,7 +184,7 @@ proptest! {
         let topo = Topology::single_server(gpus);
         let hw = HardwarePerf::new();
         let mut ctx = PlanningContext::new(&g, &topo, &hw, cost);
-        let plan = HierarchicalPlanner::default().plan(&mut ctx).unwrap();
+        let plan = HierarchicalPlanner.plan(&mut ctx).unwrap();
         plan.placement.validate(&plan.graph, &topo).unwrap();
         for (op, d) in plan.placement.iter() {
             prop_assert!(!topo.is_host(d), "{op} on host");
@@ -212,7 +213,7 @@ fn plan_roundtrips_through_serde() {
     g.connect(a, b).unwrap();
     let topo = Topology::single_server(2);
     let cost = CostModels::new();
-    let plan = fastt::dpos_plan(&g, &topo, &cost, &HardwarePerf::new());
+    let plan = dpos(&g, &topo, &cost, &HardwarePerf::new()).into_plan(&g);
     let json = serde_json::to_string(&plan).unwrap();
     let back: fastt::Plan = serde_json::from_str(&json).unwrap();
     assert_eq!(back.placement, plan.placement);

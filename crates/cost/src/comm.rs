@@ -141,11 +141,6 @@ impl CommCostModel {
         }
     }
 
-    /// Whether [`CommCostModel::bind_topology`] has been called.
-    pub fn is_bound(&self) -> bool {
-        self.topo.is_some()
-    }
-
     /// The analytic prior line of a link spec: intercept = latency,
     /// slope = 1/bandwidth, zero observations behind it.
     fn prior_of(l: &Link) -> LinReg {

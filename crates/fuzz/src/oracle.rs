@@ -163,11 +163,11 @@ fn check_adopted_plan(
 fn planners(choice: PlannerChoice) -> Vec<Box<dyn Planner>> {
     match choice {
         PlannerChoice::Flat => vec![Box::<DposPlanner>::default()],
-        PlannerChoice::Hierarchical => vec![Box::<HierarchicalPlanner>::default()],
+        PlannerChoice::Hierarchical => vec![Box::new(HierarchicalPlanner)],
         PlannerChoice::Portfolio => vec![
             Box::<DposPlanner>::default(),
             Box::<DataParallelPlanner>::default(),
-            Box::<HierarchicalPlanner>::default(),
+            Box::new(HierarchicalPlanner),
         ],
     }
 }

@@ -9,13 +9,41 @@ use std::sync::Mutex;
 /// to 100 s — wide enough for op durations and strategy-calculation spans.
 pub const DEFAULT_BUCKETS: [f64; 9] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
 
-/// Fine-grained bucket bounds (seconds) starting at 10 ns, for latencies
-/// that land sub-microsecond — small-graph planner placements collapse
-/// into the first [`DEFAULT_BUCKETS`] bucket otherwise. Used for
-/// `planner.latency` and the other profiling histograms.
-pub const FINE_BUCKETS: [f64; 11] = [
-    1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0,
-];
+/// Fine-grained bucket bounds (seconds) from 10 ns to 100 s, ten
+/// log-spaced bounds per decade (`10^(k/10)`), for latencies that land
+/// sub-microsecond — small-graph planner placements collapse into the
+/// first [`DEFAULT_BUCKETS`] bucket otherwise. Used for `planner.latency`
+/// and the other profiling histograms.
+///
+/// Adjacent bounds differ by a factor of `10^0.1 ≈ 1.259`, so
+/// [`Histogram::quantile_bound`] overstates any in-range sample by less
+/// than 25.9% relative error: a 0.127 s p95 reads as 0.158 s, not 1 s.
+pub const FINE_BUCKETS: [f64; 101] = fine_buckets();
+
+/// Builds [`FINE_BUCKETS`]: each decade's lower edge times the ten
+/// mantissas `10^(i/10)`, then the closing 100 s bound.
+const fn fine_buckets() -> [f64; 101] {
+    const DECADES: [f64; 10] = [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
+    const MANTISSAS: [f64; 10] = [
+        1.0,
+        1.258_925_411_794_167_3,
+        1.584_893_192_461_113_6,
+        1.995_262_314_968_879_5,
+        2.511_886_431_509_58,
+        3.162_277_660_168_379_5,
+        3.981_071_705_534_973,
+        5.011_872_336_272_722,
+        6.309_573_444_801_933,
+        7.943_282_347_242_816,
+    ];
+    let mut bounds = [100.0; 101];
+    let mut i = 0;
+    while i < 100 {
+        bounds[i] = DECADES[i / 10] * MANTISSAS[i % 10];
+        i += 1;
+    }
+    bounds
+}
 
 #[derive(Debug, Clone)]
 enum Metric {
@@ -258,17 +286,32 @@ mod tests {
     }
 
     #[test]
+    fn fine_buckets_are_ten_per_decade() {
+        assert_eq!(FINE_BUCKETS[0], 1e-8);
+        assert_eq!(FINE_BUCKETS[100], 100.0);
+        for w in FINE_BUCKETS.windows(2) {
+            let ratio = w[1] / w[0];
+            assert!(
+                (ratio - 10f64.powf(0.1)).abs() < 1e-9,
+                "{} -> {}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+
+    #[test]
     fn declared_bounds_survive_plain_observe() {
         let r = Registry::new();
         r.declare_histogram("lat", &FINE_BUCKETS);
-        r.observe("lat", 5e-8); // sub-µs: first DEFAULT bucket, second FINE bucket
+        r.observe("lat", 5e-8); // sub-µs: first DEFAULT bucket, eighth FINE bucket
         let Some(MetricValue::Histogram(h)) = r.get("lat") else {
             panic!("expected histogram");
         };
         assert_eq!(h.bounds, FINE_BUCKETS.to_vec());
         assert_eq!(
-            h.counts[1], 1,
-            "lands in the ≤1e-7 bucket, not a 1 µs floor"
+            h.counts[7], 1,
+            "lands in the ≤10^-7.3 (≈5.01e-8) bucket, not a 1 µs floor"
         );
         // redeclaring keeps bounds and counts
         r.declare_histogram("lat", &DEFAULT_BUCKETS);

@@ -225,6 +225,20 @@ mod tests {
         assert_eq!(v.warn_limit, 2e-3);
     }
 
+    /// A 0.127 s p95 against a 250 ms target passes on the fine buckets:
+    /// with one bound per decade it read as 1 s and graded FAIL.
+    #[test]
+    fn fine_bucket_p95_under_target_passes() {
+        let reg = Registry::new();
+        reg.declare_histogram("planner.latency", &crate::FINE_BUCKETS);
+        for _ in 0..100 {
+            reg.observe("planner.latency", 0.127);
+        }
+        let v = Slo::p95("planner.latency.p95", "planner.latency", 0.25).evaluate(&reg);
+        assert_eq!(v.grade, SloGrade::Pass, "observed {}", v.observed);
+        assert!(v.observed >= 0.127 && v.observed < 0.127 * 1.259);
+    }
+
     #[test]
     fn missing_or_empty_metric_is_no_data() {
         let reg = Registry::new();

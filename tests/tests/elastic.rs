@@ -250,3 +250,50 @@ fn churn_trajectories_are_seeded() {
     // seed-dependent. Equality would mean the seed is being ignored.
     assert_ne!(a, b, "different seeds must yield different churn logs");
 }
+
+/// The seeded churn scenario (LeNet on 2×2, schedule seed 21, the
+/// `elastic:21` report) runs to completion: pre-training and 60 training
+/// iterations return `Ok` — a cyclic comm plan would surface as a typed
+/// `Deadlock` error — the final plan lowers to a comm plan that passes the
+/// cycle validator, capacity moves, and at least one re-plan runs over an
+/// enlarged survivor set.
+#[test]
+fn seeded_churn_completes_and_replans_on_scale_up() {
+    use fastt_sim::CommPlan;
+    use fastt_telemetry::{Collector, MemorySink};
+
+    let sink = Arc::new(MemorySink::new(1 << 20));
+    let collector = Arc::new(Collector::new().with_sink(sink.clone()));
+    let config = SessionConfig {
+        faults: Some(Arc::new(FaultSchedule::seeded_churn(21, 4, 2, 60))),
+        ..SessionConfig::default()
+    };
+    let g = Model::LeNet.training_graph(64);
+    let topo = Topology::multi_server(2, 2);
+    let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), config).unwrap();
+    s.attach_collector(collector);
+    s.pre_train().expect("pre-training under churn");
+    s.train_normal(60, 5).expect("training under churn");
+
+    let plan = s.current_plan();
+    CommPlan::lower(&plan.graph, &plan.placement, s.topology())
+        .and_then(|c| c.validate(s.topology(), s.iterations_run()))
+        .expect("final comm plan is valid and acyclic");
+
+    let events = sink.events();
+    assert_eq!(sink.dropped(), 0);
+    let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
+    // the capacity timeline is non-empty: capacity shrank and grew back
+    assert!(count("session.replan") > 0, "capacity never shrank");
+    assert!(count("session.scaled_up") > 0, "capacity never grew back");
+    // every promoted or held decision is a re-plan over the grown cluster
+    let scale_up_replans = count("session.promoted") + count("session.promotion_held");
+    assert!(
+        scale_up_replans >= 1,
+        "no re-plan over an enlarged survivor set"
+    );
+    assert!(s
+        .recovery_log()
+        .iter()
+        .any(|e| matches!(e, RecoveryEvent::Promoted { .. })));
+}

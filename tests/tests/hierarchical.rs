@@ -55,7 +55,7 @@ fn hierarchical_plan_validates_and_arbitration_is_deterministic() {
     let run = || {
         let portfolio = Portfolio::new()
             .with(Box::new(DposPlanner))
-            .with(Box::<HierarchicalPlanner>::default());
+            .with(Box::new(HierarchicalPlanner));
         let inputs = PortfolioInputs {
             graph: &g,
             raw: Some(&g),
@@ -114,7 +114,7 @@ fn depth_siblings_share_region_sub_plans() {
 
     let mut ctx4 =
         PlanningContext::new(&g4, &topo, &hw, CostModels::new()).with_region_cache(&cache, 0);
-    HierarchicalPlanner::default().plan(&mut ctx4).unwrap();
+    HierarchicalPlanner.plan(&mut ctx4).unwrap();
     assert!(
         cache.region_misses() > 0,
         "first plan must record region sub-plans"
@@ -123,7 +123,7 @@ fn depth_siblings_share_region_sub_plans() {
 
     let mut ctx6 =
         PlanningContext::new(&g6, &topo, &hw, CostModels::new()).with_region_cache(&cache, 0);
-    HierarchicalPlanner::default().plan(&mut ctx6).unwrap();
+    HierarchicalPlanner.plan(&mut ctx6).unwrap();
     assert!(
         cache.region_hits() > hits_before,
         "depth sibling must be served from region sub-plans \

@@ -6,7 +6,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fastt::{data_parallel_plan, FastTError, RecoveryEvent, SessionConfig, TrainingSession};
+use fastt::{
+    data_parallel_plan, FastTError, RecoveryEvent, SessionConfig, TrainingSession,
+    DEGRADED_SLOWDOWN,
+};
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{replicate_grouped, ReplicationMode};
 use fastt_models::Model;
@@ -215,7 +218,7 @@ fn nic_degradation_flags_links_and_reseeds_pessimistic_priors() {
     );
     for (src, dst, slowdown) in &degraded {
         assert!(
-            *slowdown >= SessionConfig::default().degraded_slowdown,
+            *slowdown >= DEGRADED_SLOWDOWN,
             "flagged hop {src:?}->{dst:?} at only {slowdown}x"
         );
         // every flagged hop crosses into the degraded server
@@ -249,4 +252,60 @@ fn partition_then_crashes_exhaust_the_cluster_typed() {
         .recovery_log()
         .iter()
         .any(|e| matches!(e, RecoveryEvent::Partitioned { server: 1, .. })));
+}
+
+/// The seeded network-chaos scenario (LeNet on 2×2, schedule seed 21, the
+/// `netchaos:21` report) runs to completion: pre-training and 40 training
+/// iterations return `Ok` — a cyclic comm plan would surface as a typed
+/// `Deadlock` error — the final plan lowers to a comm plan that passes the
+/// cycle validator, and the run records link-health activity: the seeded
+/// NIC slowdown flags links and the partition is detected.
+#[test]
+fn seeded_network_chaos_completes_with_link_health_events() {
+    use fastt_sim::CommPlan;
+    use fastt_telemetry::{Collector, MemorySink};
+
+    let sink = Arc::new(MemorySink::new(1 << 20));
+    let collector = Arc::new(Collector::new().with_sink(sink.clone()));
+    let config = SessionConfig {
+        faults: Some(Arc::new(FaultSchedule::seeded_network(21, 4, 2, 40))),
+        ..SessionConfig::default()
+    };
+    let g = Model::LeNet.training_graph(64);
+    let topo = Topology::multi_server(2, 2);
+    let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), config).unwrap();
+    s.attach_collector(collector);
+    s.pre_train().expect("pre-training under network chaos");
+    s.train_normal(40, 5).expect("training under network chaos");
+
+    let plan = s.current_plan();
+    CommPlan::lower(&plan.graph, &plan.placement, s.topology())
+        .and_then(|c| c.validate(s.topology(), s.iterations_run()))
+        .expect("final comm plan is valid and acyclic");
+
+    const LINK_HEALTH: [&str; 9] = [
+        "fault.link",
+        "health.link_degraded",
+        "health.link_restored",
+        "health.link_failed",
+        "session.partition",
+        "session.stranded",
+        "session.unreachable",
+        "comm.collective_abort",
+        "session.degraded_mode",
+    ];
+    let events = sink.events();
+    let link_health = events
+        .iter()
+        .filter(|e| LINK_HEALTH.contains(&e.kind.as_str()))
+        .count();
+    assert!(link_health > 0, "the link-health timeline is empty");
+    assert_eq!(sink.dropped(), 0);
+    let log = s.recovery_log();
+    assert!(log
+        .iter()
+        .any(|e| matches!(e, RecoveryEvent::LinkDegraded { .. })));
+    assert!(log
+        .iter()
+        .any(|e| matches!(e, RecoveryEvent::Partitioned { .. })));
 }

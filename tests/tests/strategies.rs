@@ -3,7 +3,7 @@
 //! the simulator.
 
 use fastt::search::{cem_search, gdp_place, mcmc_search, random_search, reinforce_search};
-use fastt::{data_parallel_plan, dpos_plan, model_parallel_plan, os_dpos, OsDposOptions};
+use fastt::{data_parallel_plan, dpos, model_parallel_plan, os_dpos, OsDposOptions};
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
 use fastt_graph::replicate;
@@ -100,13 +100,13 @@ fn model_parallel_balances_memory() {
 }
 
 #[test]
-fn dpos_plan_beats_or_matches_single_device_on_parallel_models() {
+fn dpos_beats_or_matches_single_device_on_parallel_models() {
     // With full cost models, DPOS over 4 GPUs must beat everything-on-one.
     let graph = Model::InceptionV3.training_graph(8);
     let topo = Topology::single_server(4);
     let hw = HardwarePerf::new();
     let cost = profiled_costs(&graph, &topo);
-    let plan = dpos_plan(&graph, &topo, &cost, &hw);
+    let plan = dpos(&graph, &topo, &cost, &hw).into_plan(&graph);
     let dpos_time = plan
         .simulate(&topo, &hw, &SimConfig::default())
         .unwrap()
