@@ -25,10 +25,13 @@ use super::{Planner, PlannerKind};
 use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
-use fastt_graph::Graph;
+use fastt_graph::{decompose, Graph, RegionTree};
 use fastt_sim::Placement;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+/// Region trees one cache keeps, oldest evicted first.
+const REGION_TREE_CAP: usize = 8;
 
 /// Cache key for one (planner, planning inputs) combination.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -58,14 +61,6 @@ pub struct Fingerprint {
     pub planner: &'static str,
     /// [`Planner::fingerprint_extra`]: tuning parameters and RNG seeds.
     pub extra: u64,
-    /// For region-aware planners ([`Planner::uses_regions`]): the
-    /// decomposition's order-canonical hash
-    /// ([`fastt_graph::RegionTree::canonical_hash`]), folded in alongside
-    /// the id-sensitive `graph_hash` so models sharing substructure are
-    /// observable at the fingerprint layer; 0 for flat planners. Region
-    /// *sub-plan* entries reuse this struct with the per-region hash as
-    /// both graph and region component (see [`PlanCache::get_region`]).
-    pub region_hash: u64,
 }
 
 /// Session-side planning context folded into [`Fingerprint::context`].
@@ -117,13 +112,6 @@ impl Fingerprint {
         if uses_cost && cost.generation() > 0 {
             context ^= mix(ctx.cache_salt);
         }
-        let region_hash = if planner.uses_regions() {
-            super::hierarchical::region_tree_for(graph)
-                .0
-                .canonical_hash()
-        } else {
-            0
-        };
         Fingerprint {
             graph_hash,
             capacity_mask: topo.shape_hash(),
@@ -131,7 +119,6 @@ impl Fingerprint {
             context,
             planner: planner.name(),
             extra: planner.fingerprint_extra(),
-            region_hash,
         }
     }
 }
@@ -149,6 +136,8 @@ struct Inner {
     map: HashMap<Fingerprint, Plan>,
     order: VecDeque<Fingerprint>,
     cap: usize,
+    /// Region trees by [`Graph::structure_hash`], in insertion order.
+    trees: VecDeque<(u64, Arc<RegionTree>)>,
     hits: u64,
     misses: u64,
     region_hits: u64,
@@ -315,11 +304,33 @@ impl PlanCache {
             .region_misses
     }
 
-    /// Drops every cached plan (counters are kept).
+    /// The region tree of `graph` ([`fastt_graph::decompose`], the
+    /// hierarchical planner's options), decomposed on first use and kept in
+    /// this cache under [`Graph::structure_hash`]: a tree is a pure function
+    /// of its graph. The decomposition runs outside the lock.
+    pub fn region_tree(&self, graph: &Graph) -> Arc<RegionTree> {
+        let key = graph.structure_hash();
+        {
+            let inner = self.inner.lock().expect("plan cache poisoned");
+            if let Some((_, t)) = inner.trees.iter().find(|(k, _)| *k == key) {
+                return Arc::clone(t);
+            }
+        }
+        let tree = Arc::new(decompose(graph));
+        let mut inner = self.inner.lock().expect("plan cache poisoned");
+        inner.trees.push_back((key, Arc::clone(&tree)));
+        if inner.trees.len() > REGION_TREE_CAP {
+            inner.trees.pop_front();
+        }
+        tree
+    }
+
+    /// Drops every cached plan and region tree (counters are kept).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         inner.map.clear();
         inner.order.clear();
+        inner.trees.clear();
     }
 }
 
@@ -335,7 +346,6 @@ mod tests {
             context: 0,
             planner: "test",
             extra: 0,
-            region_hash: 0,
         }
     }
 

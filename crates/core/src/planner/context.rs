@@ -46,9 +46,9 @@ pub struct PlanningContext<'a> {
     /// Pinned parameter-server device for data-parallel plans (`None`
     /// follows TF-slim's host-PS convention).
     pub dp_ps: Option<DeviceId>,
-    /// The plan cache backing region-granular sub-plan reuse, for planners
-    /// that report [`Planner::uses_regions`](crate::planner::Planner::uses_regions).
-    /// `None` plans without sub-plan memoization.
+    /// The plan cache a region-aware planner (the hierarchical planner)
+    /// reads its region tree and region-granular sub-plans through. `None`
+    /// plans without either memo.
     pub region_cache: Option<&'a PlanCache>,
     /// Per-session cache salt (see
     /// [`FingerprintContext::cache_salt`](crate::planner::FingerprintContext));

@@ -4,8 +4,10 @@
 //! Flat DPOS scales with *op count*; this planner makes placement scale
 //! with *region count* instead:
 //!
-//! 1. **decompose** the graph into a [`RegionTree`] (memoized per
-//!    structure hash — recovery and drift re-planning reuse it);
+//! 1. **decompose** the graph into a [`RegionTree`], read through the
+//!    context's [`PlanCache`] ([`PlanCache::region_tree`]) so recovery,
+//!    drift re-planning and twin fleet jobs sharing that cache reuse one
+//!    tree; without a cache the planner decomposes on every call;
 //! 2. **across**: run DPOS on the collapsed quotient graph (one node per
 //!    region, comp costs seeded from the members' fitted means, memory
 //!    from the members' planning bytes) to pick a home device per region;
@@ -27,6 +29,8 @@
 //! strictly better-or-tied-earlier.
 //!
 //! [`Portfolio`]: super::Portfolio
+//! [`PlanCache`]: super::PlanCache
+//! [`PlanCache::region_tree`]: super::PlanCache::region_tree
 
 use super::{Planner, PlannerKind, PlanningContext};
 use crate::dpos::{dpos, dpos_with, DposOptions};
@@ -38,7 +42,7 @@ use fastt_graph::{decompose_with, DecomposeOptions, Graph, OpId, RegionTree};
 use fastt_sim::Placement;
 use fastt_telemetry::jobj;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Regions at or below this size skip within-region refinement and inherit
@@ -46,46 +50,20 @@ use std::time::Instant;
 /// handful of series ops gain nothing from spreading).
 const REFINE_THRESHOLD: usize = 4;
 
-/// Decomposition memo: structure hash → (tree, cold decompose seconds).
-/// Bounded FIFO; sessions re-plan the same structure many times (recovery
-/// probing, drift refits, repeated fleet admissions), and the decomposition
-/// is a pure function of the graph.
-type DecompMemoEntry = (u64, Arc<RegionTree>, f64);
-static DECOMP_MEMO: OnceLock<Mutex<Vec<DecompMemoEntry>>> = OnceLock::new();
-const DECOMP_MEMO_CAP: usize = 8;
-
-/// The memoized region tree for `graph` under default options, plus the
-/// *cold* decomposition wall-clock (paid once per structure; hits are
-/// free). Shared by the planner, the fingerprint computation, and the
-/// bench harness so they all see one decomposition.
+/// The region tree for `graph` under [`DecomposeOptions::for_graph`], plus
+/// the seconds the decomposition took. Uncached: planners read trees
+/// through [`PlanCache::region_tree`](super::PlanCache::region_tree).
 pub fn region_tree_for(graph: &Graph) -> (Arc<RegionTree>, f64) {
-    let key = graph.structure_hash();
-    let memo = DECOMP_MEMO.get_or_init(|| Mutex::new(Vec::new()));
-    {
-        let m = memo.lock().expect("decompose memo poisoned");
-        if let Some((_, t, secs)) = m.iter().find(|(k, _, _)| *k == key) {
-            return (Arc::clone(t), *secs);
-        }
-    }
     let t0 = Instant::now();
     let tree = Arc::new(decompose_with(graph, DecomposeOptions::for_graph(graph)));
-    let secs = t0.elapsed().as_secs_f64();
-    let mut m = memo.lock().expect("decompose memo poisoned");
-    if let Some((_, t, s)) = m.iter().find(|(k, _, _)| *k == key) {
-        return (Arc::clone(t), *s); // racer filled it first
-    }
-    m.push((key, Arc::clone(&tree), secs));
-    while m.len() > DECOMP_MEMO_CAP {
-        m.remove(0);
-    }
-    (tree, secs)
+    (tree, t0.elapsed().as_secs_f64())
 }
 
 /// Hierarchical planner: DPOS across the region quotient, DPOS (or the
 /// identity, for small regions) within each region, region-granular plan
 /// caching, and a repaired, validated per-op expansion. The decomposition
-/// uses [`DecomposeOptions::for_graph`] through the shared memo
-/// ([`region_tree_for`]).
+/// uses [`DecomposeOptions::for_graph`] and is read through the context's
+/// [`PlanCache`](super::PlanCache) when one is attached.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HierarchicalPlanner;
 
@@ -96,10 +74,6 @@ impl Planner for HierarchicalPlanner {
 
     fn kind(&self) -> PlannerKind {
         PlannerKind::WhiteBox
-    }
-
-    fn uses_regions(&self) -> bool {
-        true
     }
 
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
@@ -116,9 +90,14 @@ impl Planner for HierarchicalPlanner {
         let col = ctx.collector.clone();
         let _hier_phase = col.as_deref().map(|c| c.phase("hierarchical"));
 
-        // 1. Decompose (memoized).
+        // 1. Decompose, once per plan cache.
         let decomp_phase = col.as_deref().map(|c| c.phase("decompose"));
-        let (tree, decompose_secs) = region_tree_for(graph);
+        let t_decompose = Instant::now();
+        let tree = match ctx.region_cache {
+            Some(cache) => cache.region_tree(graph),
+            None => region_tree_for(graph).0,
+        };
+        let decompose_secs = t_decompose.elapsed().as_secs_f64();
         drop(decomp_phase);
 
         // 2. Across: DPOS on the quotient graph.
@@ -330,7 +309,6 @@ fn region_fingerprint(
     let generation = ctx.cost.generation();
     Fingerprint {
         graph_hash: r.hash,
-        region_hash: r.hash,
         capacity_mask: narrow.shape_hash(),
         cost_generation: generation,
         context: if generation > 0 {

@@ -192,8 +192,8 @@ impl RegionTree {
     }
 
     /// Order-canonical hash of the whole decomposition: the sorted multiset
-    /// of region hashes plus the quotient edges expressed over them. Folded
-    /// into plan-cache fingerprints by region-aware planners.
+    /// of region hashes plus the quotient edges expressed over them. Equal
+    /// for graphs that differ only in op insertion order or names.
     pub fn canonical_hash(&self) -> u64 {
         self.canonical
     }
@@ -216,9 +216,36 @@ struct Builder {
     preds: Vec<BTreeSet<u32>>,
     succs: Vec<BTreeSet<u32>>,
     cap: usize,
+    /// Visit stamps for [`Builder::reaches`]: `seen[x] == stamp` marks `x`
+    /// as visited by the current probe.
+    seen: Vec<u32>,
+    stamp: u32,
 }
 
 impl Builder {
+    /// One singleton region per op of `g`, joined by `g`'s edges.
+    fn new(g: &Graph, cap: usize) -> Self {
+        let n = g.op_count();
+        let mut b = Builder {
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+            bits: vec![0; n],
+            preds: vec![BTreeSet::new(); n],
+            succs: vec![BTreeSet::new(); n],
+            cap,
+            seen: vec![0; n],
+            stamp: 0,
+        };
+        for e in g.iter_edges() {
+            let (s, d) = (e.src.index() as u32, e.dst.index() as u32);
+            if s != d {
+                b.succs[s as usize].insert(d);
+                b.preds[d as usize].insert(s);
+            }
+        }
+        b
+    }
+
     fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let p = self.parent[x as usize];
@@ -332,22 +359,28 @@ impl Builder {
     /// Bounded multi-source DFS on the live quotient: does any of `from`
     /// reach `target`? Exhausting the budget reports `true` (pessimistic).
     fn reaches(&mut self, from: &[u32], target: u32, budget: usize) -> bool {
-        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
         let mut stack: Vec<u32> = from.to_vec();
         let mut visited = 0usize;
         while let Some(x) = stack.pop() {
             if x == target {
                 return true;
             }
-            if !seen.insert(x) {
+            if self.seen[x as usize] == stamp {
                 continue;
             }
+            self.seen[x as usize] = stamp;
             visited += 1;
             if visited > budget {
                 return true;
             }
             for &s in &self.succs[x as usize] {
-                if !seen.contains(&s) {
+                if self.seen[s as usize] != stamp {
                     stack.push(s);
                 }
             }
@@ -391,16 +424,10 @@ impl Builder {
                         frontier.iter().copied().filter(|&x| x != cand).collect();
                     !self.reaches(&others, cand, budget)
                 } else {
-                    let others: BTreeSet<u32> =
-                        frontier.iter().copied().filter(|&x| x != cand).collect();
-                    let mut hit = false;
-                    for &t in &others {
-                        if self.reaches(&[cand], t, budget) {
-                            hit = true;
-                            break;
-                        }
-                    }
-                    !hit
+                    !frontier
+                        .iter()
+                        .filter(|&&t| t != cand)
+                        .any(|&t| self.reaches(&[cand], t, budget))
                 };
                 if safe {
                     self.merge(r, cand, CHAIN_BIT);
@@ -420,21 +447,7 @@ impl Builder {
 /// are ordered.
 pub fn decompose_with(g: &Graph, opts: DecomposeOptions) -> RegionTree {
     let n = g.op_count();
-    let mut b = Builder {
-        parent: (0..n as u32).collect(),
-        size: vec![1; n],
-        bits: vec![0; n],
-        preds: vec![BTreeSet::new(); n],
-        succs: vec![BTreeSet::new(); n],
-        cap: opts.max_region_ops.max(1),
-    };
-    for e in g.iter_edges() {
-        let (s, d) = (e.src.index() as u32, e.dst.index() as u32);
-        if s != d {
-            b.succs[s as usize].insert(d);
-            b.preds[d as usize].insert(s);
-        }
-    }
+    let mut b = Builder::new(g, opts.max_region_ops.max(1));
 
     let mut rounds = 0usize;
     while rounds < opts.max_rounds {
@@ -827,5 +840,162 @@ mod tests {
         let t = decompose(&g);
         assert!(t.is_empty());
         assert_eq!(t.op_count(), 0);
+    }
+
+    /// The reachability probe before visit stamps: a fresh `BTreeSet` per
+    /// probe. [`Builder::reaches`] must answer every probe exactly as this
+    /// does, budget exhaustion included.
+    fn reaches_reference(b: &Builder, from: &[u32], target: u32, budget: usize) -> bool {
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        let mut stack: Vec<u32> = from.to_vec();
+        let mut visited = 0usize;
+        while let Some(x) = stack.pop() {
+            if x == target {
+                return true;
+            }
+            if !seen.insert(x) {
+                continue;
+            }
+            visited += 1;
+            if visited > budget {
+                return true;
+            }
+            for &s in &b.succs[x as usize] {
+                if !seen.contains(&s) {
+                    stack.push(s);
+                }
+            }
+        }
+        false
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded random DAG: every edge points from a lower to a higher id.
+    fn random_dag(n: usize, seed: u64) -> Graph {
+        let mut rng = seed;
+        let mut g = Graph::new();
+        let ids: Vec<OpId> = (0..n)
+            .map(|i| {
+                g.add_op(Operation::new(format!("op{i}"), OpKind::Relu, [4, 4]).with_flops(16))
+                    .unwrap()
+            })
+            .collect();
+        for j in 1..n {
+            for _ in 0..1 + splitmix(&mut rng) % 3 {
+                let i = (splitmix(&mut rng) % j as u64) as usize;
+                g.connect_bytes(ids[i], ids[j], 64).unwrap();
+            }
+        }
+        g
+    }
+
+    /// A 4-way replicated training graph with the layer shape of the models
+    /// crate's stacked Transformer (which sits above this crate): per layer,
+    /// q/k/v projections with weight variables fan out into attention heads
+    /// that a concat gathers, then an output projection and a residual add.
+    fn replicated_attention_stack(layers: usize, heads: usize) -> Graph {
+        let mut g = Graph::new();
+        let fc = |g: &mut Graph, name: String, input: OpId| {
+            let w = g
+                .add_op(
+                    Operation::new(format!("{name}/w"), OpKind::Variable, [8, 8])
+                        .with_param_bytes(256),
+                )
+                .unwrap();
+            let op = g
+                .add_op(Operation::new(name, OpKind::MatMul, [4, 8]).with_flops(512))
+                .unwrap();
+            g.connect_bytes(input, op, 128).unwrap();
+            g.connect_bytes(w, op, 256).unwrap();
+            op
+        };
+        let mut x = g
+            .add_op(Operation::new("ids", OpKind::Input, [4, 8]))
+            .unwrap();
+        for l in 0..layers {
+            let q = fc(&mut g, format!("l{l}/q"), x);
+            let k = fc(&mut g, format!("l{l}/k"), x);
+            let v = fc(&mut g, format!("l{l}/v"), x);
+            let cat = g
+                .add_op(Operation::new(format!("l{l}/cat"), OpKind::Concat, [4, 8]))
+                .unwrap();
+            for h in 0..heads {
+                let at = g
+                    .add_op(
+                        Operation::new(format!("l{l}/head{h}"), OpKind::Attention, [4, 2])
+                            .with_flops(64),
+                    )
+                    .unwrap();
+                for p in [q, k, v] {
+                    g.connect_bytes(p, at, 32).unwrap();
+                }
+                g.connect_bytes(at, cat, 32).unwrap();
+            }
+            let out = fc(&mut g, format!("l{l}/out"), cat);
+            let res = g
+                .add_op(Operation::new(format!("l{l}/res"), OpKind::Add, [4, 8]).with_flops(32))
+                .unwrap();
+            g.connect_bytes(x, res, 128).unwrap();
+            g.connect_bytes(out, res, 128).unwrap();
+            x = res;
+        }
+        let loss = g.add_op(Operation::new("loss", OpKind::Loss, [1])).unwrap();
+        g.connect_bytes(x, loss, 4).unwrap();
+        let training = crate::build_training_graph(&g).unwrap();
+        crate::replicate(&training, 4).unwrap().graph
+    }
+
+    /// Interleaves seeded probes with the contraction passes on one
+    /// builder, so stamps are reused across probes and across a changing
+    /// quotient. Returns how many probes ran out of budget.
+    fn check_probes_against_reference(g: &Graph, seed: u64, first_stamp: u32) -> usize {
+        let mut rng = seed;
+        let mut b = Builder::new(g, DecomposeOptions::for_graph(g).max_region_ops);
+        b.stamp = first_stamp;
+        let mut exhausted = 0;
+        for round in 0..3 {
+            let reps = b.reps();
+            let pick = |rng: &mut u64| reps[(splitmix(rng) % reps.len() as u64) as usize];
+            for probe in 0..400 {
+                let from: Vec<u32> = (0..1 + splitmix(&mut rng) % 3)
+                    .map(|_| pick(&mut rng))
+                    .collect();
+                let target = pick(&mut rng);
+                let budget = [1, 2, 4, 16, 64, 4096][(splitmix(&mut rng) % 6) as usize];
+                let want = reaches_reference(&b, &from, target, budget);
+                assert_eq!(
+                    b.reaches(&from, target, budget),
+                    want,
+                    "round {round} probe {probe}: {from:?} -> {target} (budget {budget})"
+                );
+                if want && !reaches_reference(&b, &from, target, usize::MAX) {
+                    exhausted += 1;
+                }
+            }
+            b.series_pass();
+            b.bundle_pass();
+            b.endpoint_pass(4096);
+        }
+        exhausted
+    }
+
+    #[test]
+    fn stamped_reaches_matches_the_set_based_reference() {
+        let mut exhausted = 0;
+        for seed in 0..6 {
+            exhausted += check_probes_against_reference(&random_dag(300, seed), seed, 0);
+        }
+        let stack = replicated_attention_stack(4, 8);
+        exhausted += check_probes_against_reference(&stack, 99, 0);
+        // Start just below the wrap so the stamp reset path runs too.
+        exhausted += check_probes_against_reference(&stack, 7, u32::MAX - 5);
+        assert!(exhausted > 0, "no probe exhausted its budget");
     }
 }

@@ -38,6 +38,17 @@ fn seeded_fleet_overlaps_three_jobs_on_one_topology() {
     assert_eq!(report.deadlocks, 0);
     assert_eq!(report.jobs.len(), 5, "every submitted job departs");
     assert!(report.preemptions >= 1, "burst job must preempt");
+    assert!(
+        report
+            .events
+            .iter()
+            .any(|e| matches!(e, FleetEvent::Preempted { .. })),
+        "the preemption must be logged"
+    );
+    assert!(
+        report.jobs.iter().any(|j| j.cached_start),
+        "a twin admission must be served from the shared plan cache"
+    );
     assert!(!report.utilization.is_empty());
     // The workload is shaped so the cluster saturates at the burst.
     assert!(
@@ -343,7 +354,14 @@ fn fleet_telemetry_labels_jobs_and_feeds_the_admission_slo() {
         Some(fastt_telemetry::MetricValue::Histogram(h)) => assert!(h.count > 0),
         other => panic!("planner.latency missing: {other:?}"),
     }
-    // And the fleet SLOs all evaluate against the same registry.
+    // The admission-path planner.latency SLO has data to grade...
+    let verdicts = fastt_telemetry::evaluate_slos(&fastt::default_slos(), collector.metrics());
+    let p95 = verdicts
+        .iter()
+        .find(|v| v.slo == "planner.latency.p95")
+        .expect("default_slos grades planner.latency.p95");
+    assert_ne!(p95.grade, fastt_telemetry::SloGrade::NoData);
+    // ...and the fleet SLOs all evaluate against the same registry.
     let verdicts = fastt_telemetry::evaluate_slos(&fastt::fleet::fleet_slos(), collector.metrics());
     assert_eq!(verdicts.len(), 2);
 }

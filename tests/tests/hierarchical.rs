@@ -1,8 +1,9 @@
 //! Hierarchical placement smoke tests (CI `hierarchical` step): the
-//! decomposition collapses stacked models by an order of magnitude, the
-//! expanded placement passes the flat planners' checker, arbitration stays
-//! deterministic under a fixed seed, and depth-siblings reuse region-level
-//! sub-plans from the shared cache.
+//! decomposition collapses stacked models by an order of magnitude and is
+//! pinned, region trees are memoized per plan cache, the expanded placement
+//! passes the flat planners' checker, arbitration stays deterministic under
+//! a fixed seed, and depth-siblings reuse region-level sub-plans from the
+//! shared cache.
 
 use fastt::{
     DposPlanner, HierarchicalPlanner, PlanCache, Planner, PlanningContext, Portfolio,
@@ -10,9 +11,10 @@ use fastt::{
 };
 use fastt_cluster::Topology;
 use fastt_cost::CostModels;
-use fastt_graph::{build_training_graph, decompose, RegionKind};
-use fastt_models::stacked_transformer;
+use fastt_graph::{build_training_graph, decompose, replicate, RegionKind};
+use fastt_models::{stacked_transformer, Model};
 use fastt_sim::{HardwarePerf, SimConfig};
+use std::sync::Arc;
 
 #[test]
 fn stacked_transformer_decomposes_an_order_of_magnitude() {
@@ -39,6 +41,102 @@ fn stacked_transformer_decomposes_an_order_of_magnitude() {
             .count(),
     );
     assert!(t.len() < n / 10, "regions {} !< ops/10 {}", t.len(), n / 10);
+}
+
+/// Pinned decompositions: `(op_count, regions, rounds, canonical_hash)` of
+/// two replicated Table-1 training graphs and an unreplicated stacked
+/// Transformer. The endpoint pass's reachability probe is a hot path; a
+/// faster probe must make exactly the same merge decisions.
+#[test]
+fn decompositions_are_pinned() {
+    let replicated = |m: Model| replicate(&m.training_graph(8), 4).unwrap().graph;
+    let cases = [
+        (
+            "ResNet200 x4",
+            replicated(Model::ResNet200),
+            (5992, 1605, 5, 0x2684_7737_9347_cd46),
+        ),
+        (
+            "Bert-large x4",
+            replicated(Model::BertLarge),
+            (5877, 875, 4, 0x7ec5_321b_ed3c_d491),
+        ),
+        (
+            "stacked_transformer(64, 8)",
+            build_training_graph(&stacked_transformer(64, 8)).unwrap(),
+            (429, 34, 5, 0x33d7_918c_4bf7_c809),
+        ),
+    ];
+    for (name, g, want) in cases {
+        let t = decompose(&g);
+        let got = (t.op_count(), t.len(), t.rounds(), t.canonical_hash());
+        assert_eq!(got, want, "{name} decomposition moved");
+    }
+}
+
+/// The region-tree memo belongs to its plan cache: repeated reads share
+/// one tree, another cache (another session or fleet) decomposes its own,
+/// `clear()` drops it, and the planner still plans without any cache.
+#[test]
+fn region_trees_are_scoped_to_their_plan_cache() {
+    let g = build_training_graph(&stacked_transformer(64, 2)).unwrap();
+    let a = PlanCache::default();
+    let b = PlanCache::default();
+    let tree = a.region_tree(&g);
+    assert!(
+        Arc::ptr_eq(&tree, &a.region_tree(&g)),
+        "one cache, one tree"
+    );
+    let other = b.region_tree(&g);
+    assert!(!Arc::ptr_eq(&tree, &other), "caches must not share trees");
+    assert_eq!(tree.canonical_hash(), other.canonical_hash());
+    a.clear();
+    assert!(
+        !Arc::ptr_eq(&tree, &a.region_tree(&g)),
+        "clear() drops trees"
+    );
+
+    let topo = Topology::multi_server(2, 2);
+    let hw = HardwarePerf::new();
+    let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
+    assert!(ctx.region_cache.is_none());
+    let plan = HierarchicalPlanner.plan(&mut ctx).unwrap();
+    plan.placement.validate(&g, &topo).unwrap();
+}
+
+/// `decompose_secs` on the `hier.plan` event and the `hier.decompose_secs`
+/// gauge report what this call spent: a plan whose tree the cache already
+/// holds reports less than the plan that decomposed.
+#[test]
+fn decompose_secs_reports_this_call() {
+    use fastt_telemetry::{Collector, MemorySink, MetricValue};
+
+    let g = build_training_graph(&stacked_transformer(64, 8)).unwrap();
+    let topo = Topology::multi_server(2, 2);
+    let hw = HardwarePerf::new();
+    let cache = PlanCache::default();
+    let sink = Arc::new(MemorySink::new(4096));
+    let col = Arc::new(Collector::new().with_sink(sink.clone()));
+    for _ in 0..2 {
+        let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new())
+            .with_region_cache(&cache, 0)
+            .with_collector(col.clone());
+        HierarchicalPlanner.plan(&mut ctx).unwrap();
+    }
+    let secs: Vec<f64> = sink
+        .events_of("hier.plan")
+        .iter()
+        .map(|e| e.field("decompose_secs").as_f64().unwrap())
+        .collect();
+    assert_eq!(secs.len(), 2);
+    assert!(
+        secs[1] < secs[0],
+        "a cache-served tree must report less than a decomposition: {secs:?}"
+    );
+    match col.metrics().get("hier.decompose_secs") {
+        Some(MetricValue::Gauge(v)) => assert_eq!(v, secs[1]),
+        other => panic!("hier.decompose_secs gauge missing: {other:?}"),
+    }
 }
 
 /// The CI smoke: a seeded decompose + plan on the stacked Transformer.
