@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let global = model.paper_batch();
     let prb = per_replica_batch(model, global, gpus as u32);
     let _ = dp_ps_for(model);
-    let run = run_fastt(model, &topo, prb, global, None)?;
+    let run = run_fastt(model, &topo, prb, global)?;
     let plan = run.session.current_plan();
 
     // DOT with device coloring

@@ -1,9 +1,9 @@
 //! # fastt-bench
 //!
 //! Benchmark harness reproducing every table and figure of the FastT paper's
-//! evaluation (Sec. 6). Each `table*`/`fig*` binary prints the same rows or
-//! series the paper reports; this library holds the shared experiment
-//! drivers.
+//! evaluation (Sec. 6). Each function in [`experiments`] returns its rows as
+//! a [`Table`]; the `repro` binary runs them all and renders every table as
+//! Markdown. This library holds the shared experiment drivers.
 //!
 //! Scaling modes follow Sec. 6.2: **strong** scaling keeps the global batch
 //! fixed as GPUs are added (each replica gets `global / n`); **weak** scaling
@@ -13,89 +13,30 @@
 #![warn(missing_docs)]
 
 use fastt::{
-    data_parallel_plan, data_parallel_plan_on, PreTrainReport, SessionConfig, TrainingSession,
+    data_parallel_plan, data_parallel_plan_on, Plan, PreTrainReport, SessionConfig, TrainingSession,
 };
 use fastt_cluster::{DeviceId, Topology};
-use fastt_graph::{replicate_grouped, ReplicationMode};
+use fastt_graph::{replicate_grouped, ReplicatedGraph, ReplicationMode};
 use fastt_models::Model;
 use fastt_sim::{HardwarePerf, SimConfig, SimError};
 
-/// One cluster setting of the paper's scaling tables.
-#[derive(Debug, Clone)]
-pub struct Setting {
-    /// Column label, e.g. `"8GPUs (2servers)"`.
-    pub label: String,
-    /// Number of servers.
-    pub servers: u16,
-    /// GPUs per server.
-    pub gpus_per_server: u16,
-}
+/// The multi-GPU settings of Table 1 (strong scaling) as `(label, servers,
+/// gpus_per_server)`: 2/4/8 GPUs on one server plus 8 GPUs over two servers.
+pub const STRONG_SCALING: [(&str, u16, u16); 4] = [
+    ("2GPUs", 1, 2),
+    ("4GPUs", 1, 4),
+    ("8GPUs", 1, 8),
+    ("8GPUs(2srv)", 2, 4),
+];
 
-impl Setting {
-    /// Creates the topology for this setting.
-    pub fn topology(&self) -> Topology {
-        Topology::multi_server(self.servers, self.gpus_per_server)
-    }
-
-    /// Total GPU count.
-    pub fn gpus(&self) -> u32 {
-        (self.servers * self.gpus_per_server) as u32
-    }
-}
-
-/// The multi-GPU settings of Table 1 (strong scaling): 2/4/8 GPUs on one
-/// server plus 8 GPUs over two servers.
-pub fn strong_scaling_settings() -> Vec<Setting> {
-    vec![
-        Setting {
-            label: "2GPUs".into(),
-            servers: 1,
-            gpus_per_server: 2,
-        },
-        Setting {
-            label: "4GPUs".into(),
-            servers: 1,
-            gpus_per_server: 4,
-        },
-        Setting {
-            label: "8GPUs".into(),
-            servers: 1,
-            gpus_per_server: 8,
-        },
-        Setting {
-            label: "8GPUs (2servers)".into(),
-            servers: 2,
-            gpus_per_server: 4,
-        },
-    ]
-}
-
-/// The multi-GPU settings of Table 2 (weak scaling): up to 16 GPUs over two
-/// servers.
-pub fn weak_scaling_settings() -> Vec<Setting> {
-    vec![
-        Setting {
-            label: "2GPUs".into(),
-            servers: 1,
-            gpus_per_server: 2,
-        },
-        Setting {
-            label: "4GPUs".into(),
-            servers: 1,
-            gpus_per_server: 4,
-        },
-        Setting {
-            label: "8GPUs".into(),
-            servers: 1,
-            gpus_per_server: 8,
-        },
-        Setting {
-            label: "16GPUs (2servers)".into(),
-            servers: 2,
-            gpus_per_server: 8,
-        },
-    ]
-}
+/// The multi-GPU settings of Table 2 (weak scaling) as `(label, servers,
+/// gpus_per_server)`: up to 16 GPUs over two servers.
+pub const WEAK_SCALING: [(&str, u16, u16); 4] = [
+    ("2GPUs", 1, 2),
+    ("4GPUs", 1, 4),
+    ("8GPUs", 1, 8),
+    ("16GPUs(2srv)", 2, 8),
+];
 
 /// Where the DP baseline keeps its shared variables for a model family:
 /// TF-slim (the CNN benchmarks) defaults to the CPU host; the NMT/attention
@@ -139,10 +80,7 @@ pub fn run_dp(
     let groups: Vec<u16> = topo.gpu_ids().map(|d| topo.server_of(d)).collect();
     let rep = replicate_grouped(&graph, &groups, ReplicationMode::ParameterServer)
         .expect("model graphs replicate");
-    let plan = match dp_ps_for(model) {
-        Some(d) => data_parallel_plan_on(&rep, topo, d),
-        None => data_parallel_plan(&rep, topo),
-    };
+    let plan = dp_plan(model, &rep, topo);
     let mut total = 0.0;
     for it in 0..MEASURE_ITERS {
         let cfg = SimConfig {
@@ -184,13 +122,12 @@ pub fn run_fastt(
     topo: &Topology,
     per_replica_batch: u64,
     global_batch: u64,
-    config: Option<SessionConfig>,
 ) -> Result<FastTRun, fastt::FastTError> {
     let graph = model.training_graph(per_replica_batch);
-    let config = config.unwrap_or_else(|| SessionConfig {
+    let config = SessionConfig {
         dp_ps: dp_ps_for(model),
         ..SessionConfig::default()
-    });
+    };
     let mut session =
         TrainingSession::new(&graph, topo.clone(), HardwarePerf::new(), config.clone())?;
     if !session.started_data_parallel() && per_replica_batch != global_batch {
@@ -218,50 +155,97 @@ pub fn per_replica_batch(model: Model, global: u64, n: u32) -> u64 {
     (global / n as u64).max(model.min_batch())
 }
 
-/// Formats a samples/s cell.
-pub fn fmt_sps(m: &Result<Measurement, SimError>) -> String {
-    match m {
-        Ok(v) => format!("{:>9.1}", v.samples_per_sec),
-        Err(e) if e.is_oom() => format!("{:>9}", "OOM"),
-        Err(_) => format!("{:>9}", "ERR"),
+/// The DP baseline's plan for a replicated `model` graph, with the
+/// parameter server where [`dp_ps_for`] keeps it.
+pub fn dp_plan(model: Model, rep: &ReplicatedGraph, topo: &Topology) -> Plan {
+    match dp_ps_for(model) {
+        Some(d) => data_parallel_plan_on(rep, topo, d),
+        None => data_parallel_plan(rep, topo),
     }
 }
 
-/// Parses command-line arguments as model names (substring match against the
-/// paper names, case-insensitive); no arguments selects all nine models.
-///
-/// # Panics
-///
-/// Panics with a helpful message when an argument matches no model.
-pub fn cli_models() -> Vec<Model> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return Model::all().to_vec();
-    }
-    args.iter()
-        .map(|a| {
-            let needle = a.to_lowercase();
-            Model::all()
-                .into_iter()
-                .find(|m| m.name().to_lowercase().contains(&needle))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "unknown model `{a}`; known: {}",
-                        Model::all().map(|m| m.name()).join(", ")
-                    )
-                })
-        })
-        .collect()
+/// One cell of a [`Table`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// A number printed with the given count of decimals.
+    Num(f64, usize),
+    /// A percentage printed with the given count of decimals.
+    Pct(f64, usize),
+    /// Free text.
+    Text(String),
+    /// The configuration does not fit in device memory.
+    Oom,
+    /// The configuration failed for another reason.
+    Err,
 }
 
-/// Prints a Markdown-ish table header.
-pub fn print_header(title: &str, cols: &[&str]) {
-    println!("\n## {title}\n");
-    println!("| {} |", cols.join(" | "));
-    println!(
-        "|{}|",
-        cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
+impl Cell {
+    fn render(&self, width: usize) -> String {
+        match self {
+            Cell::Num(v, prec) => format!("{v:>width$.prec$}"),
+            Cell::Pct(v, prec) => format!("{v:.prec$}%"),
+            Cell::Text(s) => s.clone(),
+            Cell::Oom => format!("{:>width$}", "OOM"),
+            Cell::Err => format!("{:>width$}", "ERR"),
+        }
+    }
+}
+
+/// One table or figure series of the evaluation, as data.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Heading, e.g. `"Table 3: Bert-large per-iteration time (s) vs global batch"`.
+    pub title: String,
+    /// Column headers.
+    pub columns: Vec<String>,
+    /// Rows, one cell per column.
+    pub rows: Vec<Vec<Cell>>,
+    /// Width that [`Cell::Num`], [`Cell::Oom`] and [`Cell::Err`] cells are
+    /// right-aligned to (0: no padding).
+    pub num_width: usize,
+    /// Lines printed after the rows.
+    pub notes: Vec<String>,
+}
+
+impl Table {
+    /// An empty table with the given heading and column headers.
+    pub fn new<S: ToString>(title: impl Into<String>, columns: &[S]) -> Self {
+        Table {
+            title: title.into(),
+            columns: columns.iter().map(S::to_string).collect(),
+            rows: Vec::new(),
+            num_width: 0,
+            notes: Vec::new(),
+        }
+    }
+
+    /// The number in `row` under the header `column`, if that cell is one.
+    pub fn num(&self, row: usize, column: &str) -> Option<f64> {
+        let col = self.columns.iter().position(|c| c == column)?;
+        match self.rows[row][col] {
+            Cell::Num(v, _) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Renders the table as Markdown: a `##` heading, the rows, then the
+    /// notes after a blank line.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "## {}\n\n| {} |\n|{}|\n",
+            self.title,
+            self.columns.join(" | "),
+            vec!["---"; self.columns.len()].join("|")
+        );
+        for row in &self.rows {
+            let cells: Vec<String> = row.iter().map(|c| c.render(self.num_width)).collect();
+            out += &format!("| {} |\n", cells.join(" | "));
+        }
+        if !self.notes.is_empty() {
+            out += &format!("\n{}\n", self.notes.join("\n"));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -270,12 +254,10 @@ mod tests {
 
     #[test]
     fn settings_cover_the_papers_columns() {
-        let s = strong_scaling_settings();
-        assert_eq!(s.len(), 4);
-        assert_eq!(s[3].gpus(), 8);
-        assert_eq!(s[3].servers, 2);
-        let w = weak_scaling_settings();
-        assert_eq!(w[3].gpus(), 16);
+        let (_, servers, gpus_per_server) = STRONG_SCALING[3];
+        assert_eq!((servers, servers * gpus_per_server), (2, 8));
+        let (_, servers, gpus_per_server) = WEAK_SCALING[3];
+        assert_eq!((servers, servers * gpus_per_server), (2, 16));
     }
 
     #[test]
@@ -298,7 +280,7 @@ mod tests {
     fn fastt_beats_or_matches_dp_on_lenet() {
         let topo = Topology::single_server(2);
         let dp = run_dp(Model::LeNet, &topo, 32).unwrap();
-        let ft = run_fastt(Model::LeNet, &topo, 32, 64, None).unwrap();
+        let ft = run_fastt(Model::LeNet, &topo, 32, 64).unwrap();
         assert!(
             ft.measurement.iter_time <= dp.iter_time * 1.05,
             "FastT {} vs DP {}",
