@@ -177,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("(no strategy changes recorded)");
     }
 
-    println!("\n--- Planner arbitration ---");
+    println!("\n--- Planner candidates ---");
     let mut any_planner = false;
     for e in &events {
         let line = match e.kind.as_str() {
@@ -190,10 +190,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
             "planner.candidate" => {
                 let cached = e.field("cached").as_bool().unwrap_or(false);
-                let selected = e.field("selected").as_bool().unwrap_or(false);
                 let sim = e.num("simulated").unwrap_or(f64::NAN);
                 format!(
-                    "  candidate [{}/{}] est {:.3} ms{}{}{}{}",
+                    "  candidate [{}/{}] est {:.3} ms{}{}{}",
                     e.str_field("planner").unwrap_or("?"),
                     e.str_field("kind").unwrap_or("?"),
                     ms(e, "est_finish"),
@@ -207,16 +206,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         _ => String::new(),
                     },
                     if cached { " (cached)" } else { "" },
-                    if selected { "  << selected" } else { "" },
                 )
             }
-            "planner.selected" => format!(
-                "  WINNER [{}] by {} at {:.3} ms ({} candidates)",
-                e.str_field("planner").unwrap_or("?"),
-                e.str_field("by").unwrap_or("?"),
-                ms(e, "score"),
-                e.field("candidates"),
-            ),
             _ => continue,
         };
         any_planner = true;
@@ -501,8 +492,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     communication_section(&graph, &topo);
 
     // Fig.-3 search baselines, re-planned from the session's *final* graph
-    // and trained cost models, arbitrated by one probed iteration each —
-    // small budgets, this is a report not a benchmark.
+    // and trained cost models on its final topology (the one the FastT row
+    // ran on), each scored by one probed iteration — small budgets, this
+    // is a report not a benchmark.
     println!("\n--- Search-baseline comparison (final graph, trained cost models) ---");
     let search_portfolio = Portfolio::new()
         .with(Box::new(GdpPlanner))
@@ -526,7 +518,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             graph: &plan.graph,
             raw: None,
             current: Some(plan),
-            topo: &topo,
+            topo: final_topo,
             hw: &HardwarePerf::new(),
             cost: &session.cost,
             collector: None,
@@ -548,7 +540,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.makespan * 1e3,
         "-"
     );
-    for c in &search_outcome.candidates {
+    for c in &search_outcome {
         match c.simulated {
             Some(s) => println!(
                 "| {:<12} | {:<13} | {:>9.3} | {:>6} |",

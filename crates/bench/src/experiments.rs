@@ -513,18 +513,17 @@ pub fn fig3(models: &[Model]) -> Table {
                         probe: None,
                     },
                     None,
-                )
-                .candidates[0]
-                .est_finish();
+                )[0]
+            .est_finish();
 
             let fastt = run_fastt(model, &topo, prb, global).expect("fastt runs");
 
             table.rows.push(vec![
                 Cell::Text(model.name().into()),
                 Cell::Num(gpus.into(), 0),
-                norm(raw_outcome.candidates[0].est_finish()),
-                norm(raw_outcome.candidates[1].est_finish()),
-                norm(raw_outcome.candidates[2].est_finish()),
+                norm(raw_outcome[0].est_finish()),
+                norm(raw_outcome[1].est_finish()),
+                norm(raw_outcome[2].est_finish()),
                 norm(flexflow),
                 norm(fastt.measurement.iter_time),
             ]);

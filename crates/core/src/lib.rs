@@ -72,10 +72,10 @@ pub use fleet::{
 pub use os_dpos::{os_dpos, OsDposOptions};
 pub use pipeline::pipeline_plan;
 pub use planner::{
-    default_slos, region_tree_for, CandidateOutcome, DataParallelPlanner, DposPlanner, Fingerprint,
-    FingerprintContext, HierarchicalPlanner, ModelParallelPlanner, OrderOnlyPlanner, OsDposPlanner,
-    PipelinePlanner, PlanCache, Planner, PlannerKind, PlanningContext, Portfolio, PortfolioInputs,
-    PortfolioOutcome, PLANNER_LATENCY_P95_TARGET,
+    default_slos, ranked, region_tree_for, CandidateOutcome, DataParallelPlanner, DposPlanner,
+    Fingerprint, FingerprintContext, HierarchicalPlanner, ModelParallelPlanner, OrderOnlyPlanner,
+    OsDposPlanner, PlanCache, Planner, PlannerKind, PlanningContext, Portfolio, PortfolioInputs,
+    PLANNER_LATENCY_P95_TARGET,
 };
 pub use profiling::bootstrap_cost_models;
 pub use rank::{critical_path, critical_path_placed, upward_ranks};

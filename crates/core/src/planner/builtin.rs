@@ -1,6 +1,6 @@
 //! [`Planner`] implementations for FastT's own algorithms and the classical
-//! baselines: DPOS, OS-DPOS, order-only, data parallelism, model
-//! parallelism, and pipeline parallelism. The five black-box searchers live
+//! baselines: DPOS, OS-DPOS, order-only, data parallelism and model
+//! parallelism. The five black-box searchers live
 //! next to their algorithms in [`crate::search`].
 
 use super::{Planner, PlannerKind, PlanningContext};
@@ -40,8 +40,9 @@ impl Planner for DposPlanner {
 
 /// Alg. 2: DPOS plus critical-path operation splitting. Seeds analytic
 /// priors for fresh sub-operations into the context's cost models — the
-/// winner's mutated clone is what the session adopts back. The split
-/// search uses [`OsDposOptions::for_topology`] on the context's topology.
+/// session adopts candidate 0's mutated clone back, and OS-DPOS is always
+/// its candidate 0 when splitting is on. The split search uses
+/// [`OsDposOptions::for_topology`] on the context's topology.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OsDposPlanner;
 
@@ -120,7 +121,7 @@ impl Planner for OrderOnlyPlanner {
 /// graph over the live GPUs (grouped by server), aggregating gradients
 /// either through a parameter server (the default, TF-slim's convention) or
 /// with a ring all-reduce collective ([`DataParallelPlanner::all_reduce`]).
-/// The plan's `est_finish` is NaN — start strategies are arbitrated by
+/// The plan's `est_finish` is NaN — start strategies are judged by
 /// probing, not by estimates.
 #[derive(Debug, Clone, Copy)]
 pub struct DataParallelPlanner {
@@ -180,7 +181,7 @@ impl Planner for DataParallelPlanner {
 
 /// The model-parallel start strategy (Sec. 4): greedy layer-wise packing of
 /// the raw training graph onto consecutive live GPUs. `est_finish` is NaN —
-/// arbitrated by probing.
+/// judged by probing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelParallelPlanner;
 
@@ -205,46 +206,5 @@ impl Planner for ModelParallelPlanner {
             return Err(FastTError::ClusterExhausted);
         }
         Ok(model_parallel_plan(raw, ctx.topo, ctx.hw))
-    }
-}
-
-/// GPipe-style pipeline parallelism over the context's planning graph
-/// (treated as one micro-batch), with a configurable micro-batch count.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelinePlanner {
-    /// Number of micro-batches in flight.
-    pub micro_batches: u32,
-}
-
-impl Default for PipelinePlanner {
-    fn default() -> Self {
-        PipelinePlanner { micro_batches: 4 }
-    }
-}
-
-impl Planner for PipelinePlanner {
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn kind(&self) -> PlannerKind {
-        PlannerKind::Pipeline
-    }
-
-    fn uses_cost_models(&self) -> bool {
-        false
-    }
-
-    fn fingerprint_extra(&self) -> u64 {
-        self.micro_batches as u64
-    }
-
-    fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
-        if self.micro_batches == 0 {
-            return Err(FastTError::InvalidArgument(
-                "pipeline planning needs at least one micro-batch",
-            ));
-        }
-        crate::pipeline::pipeline_plan(ctx.graph, self.micro_batches, ctx.topo, ctx.hw)
     }
 }

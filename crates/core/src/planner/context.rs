@@ -15,7 +15,7 @@ use std::sync::Arc;
 ///
 /// The context *owns* its cost models: a [`Portfolio`] hands each planner
 /// thread its own clone, so OS-DPOS can seed sub-operation priors without
-/// racing other planners; the session adopts the winner's mutated clone
+/// racing other planners; the session adopts candidate 0's mutated clone
 /// back. Tracing is likewise a property of the context — a planner run with
 /// a collector emits the same `dpos.place` / `dpos.split` decision events
 /// the old `*_traced` function duplicates used to.

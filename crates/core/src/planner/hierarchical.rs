@@ -20,15 +20,15 @@
 //!    and colocation groups, validate against the existing checker, and
 //!    take the finish estimate from the quotient schedule (a full-graph
 //!    fixed-placement EFT pass would cost as much as flat DPOS — the
-//!    probe-and-pick arbitration re-judges the estimate anyway).
+//!    session measures or probes the plan before keeping it anyway).
 //!
 //! On a 13k-op stacked Transformer the quotient has ~34 nodes, so the
 //! planning hot path runs two orders of magnitude fewer EFT scans than
-//! flat DPOS while the probe-and-pick arbitration in the [`Portfolio`]
-//! keeps it honest: it only wins when its *simulated* iteration time is
-//! strictly better-or-tied-earlier.
+//! flat DPOS while the session keeps it honest: pre-training activates
+//! it only when its estimate beats the measured time and rolls it back
+//! when the measurement regresses, and recovery ranks it behind the flat
+//! plan unless its *simulated* iteration time is strictly better.
 //!
-//! [`Portfolio`]: super::Portfolio
 //! [`PlanCache`]: super::PlanCache
 //! [`PlanCache::region_tree`]: super::PlanCache::region_tree
 
@@ -174,7 +174,7 @@ impl Planner for HierarchicalPlanner {
         // carries the members' summed comp means and the aggregated
         // boundary traffic. No per-op order is pinned: the sub-plans were
         // placed independently, so the simulator's own list scheduler
-        // sequences ops (probe-and-pick arbitration judges the result).
+        // sequences ops (measurement or a probe judges the result).
         let est_finish = qsched.est_finish;
 
         if let Some(col) = ctx.collector.as_deref() {

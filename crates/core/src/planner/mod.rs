@@ -2,14 +2,17 @@
 //!
 //! Every way FastT can produce a [`Plan`] — the white-box DPOS / OS-DPOS
 //! heuristics (Alg. 1 / Alg. 2), the order-only lever (Fig. 2), the
-//! data-parallel and model-parallel start strategies (Sec. 4), the GPipe
-//! pipeline baseline, and the five Fig.-3 black-box searchers — implements
-//! one [`Planner`] trait over one [`PlanningContext`]. On top of that sit:
+//! data-parallel and model-parallel start strategies (Sec. 4), the
+//! hierarchical region planner, and the five Fig.-3 black-box searchers —
+//! implements one [`Planner`] trait over one [`PlanningContext`]. On top
+//! of that sit:
 //!
 //! * [`Portfolio`] — evaluates a configurable candidate set concurrently
 //!   (one OS thread per planner via [`std::thread::scope`], each with its
-//!   own cost-model clone and a shared telemetry collector) and arbitrates
-//!   by simulated iteration time;
+//!   own cost-model clone and a shared telemetry collector), optionally
+//!   probing each plan with one simulated iteration, and returns every
+//!   outcome in planner order; [`ranked`] orders them by a caller-chosen
+//!   key;
 //! * [`PlanCache`] — memoizes plans under a [`Fingerprint`] of the graph
 //!   structure, the live-slice capacity mask (a position-independent shape
 //!   hash), the cost-model generation counter, and the planning context,
@@ -17,8 +20,8 @@
 //!   cache* reuse still-valid candidates instead of recomputing from
 //!   scratch.
 //!
-//! The [`crate::TrainingSession`] routes *all* candidate generation,
-//! recovery fallback probing, and arbitration through this layer; the old
+//! The [`crate::TrainingSession`] routes *all* candidate generation and
+//! recovery fallback probing through this layer; the old
 //! `*_traced` duplicate entry points are gone — tracing is a property of
 //! the context, not of the function you call.
 //!
@@ -48,12 +51,11 @@ mod portfolio;
 
 pub use builtin::{
     DataParallelPlanner, DposPlanner, ModelParallelPlanner, OrderOnlyPlanner, OsDposPlanner,
-    PipelinePlanner,
 };
 pub use cache::{Fingerprint, FingerprintContext, PlanCache};
 pub use context::PlanningContext;
 pub use hierarchical::{region_tree_for, HierarchicalPlanner};
-pub use portfolio::{CandidateOutcome, Portfolio, PortfolioInputs, PortfolioOutcome};
+pub use portfolio::{ranked, CandidateOutcome, Portfolio, PortfolioInputs};
 
 use crate::error::FastTError;
 use crate::strategy::Plan;
@@ -108,8 +110,6 @@ pub enum PlannerKind {
     StartStrategy,
     /// Keep the current deployment, only enforce an execution order.
     OrderOnly,
-    /// Micro-batched pipeline parallelism (GPipe-style baseline).
-    Pipeline,
 }
 
 impl PlannerKind {
@@ -120,7 +120,6 @@ impl PlannerKind {
             PlannerKind::Search => "search",
             PlannerKind::StartStrategy => "start_strategy",
             PlannerKind::OrderOnly => "order_only",
-            PlannerKind::Pipeline => "pipeline",
         }
     }
 }

@@ -1,4 +1,6 @@
-//! Concurrent candidate evaluation with cache-aware arbitration.
+//! Concurrent candidate evaluation: cache lookup, planning and probing.
+//! Choosing among the candidates is the caller's policy; [`ranked`] is
+//! the one ordering rule the session uses for it.
 
 use super::cache::{Fingerprint, FingerprintContext, PlanCache};
 use super::{Planner, PlannerKind, PlanningContext};
@@ -41,10 +43,9 @@ pub struct PortfolioInputs<'a> {
     /// session-local caches.
     pub cache_salt: u64,
     /// When `Some`, every candidate plan (fresh or cached) is probed with
-    /// one simulated iteration under this configuration and arbitration
-    /// uses the *simulated* time; when `None`, arbitration falls back to
-    /// the planners' own `est_finish` estimates (plans with NaN estimates —
-    /// the start strategies — then never win).
+    /// one simulated iteration under this configuration and the probed
+    /// time lands in [`CandidateOutcome::simulated`]; when `None`, nothing
+    /// is probed and callers rank by the planners' own `est_finish`.
     pub probe: Option<SimConfig>,
 }
 
@@ -69,7 +70,7 @@ pub struct CandidateOutcome {
     /// The planning or probing failure, if any.
     pub error: Option<FastTError>,
     /// The planner thread's mutated cost-model clone (e.g. OS-DPOS sub-op
-    /// seeds); the session adopts the winner's. `None` for cache hits.
+    /// seeds); the session adopts candidate 0's. `None` for cache hits.
     pub cost: Option<CostModels>,
 }
 
@@ -81,37 +82,15 @@ impl CandidateOutcome {
     }
 }
 
-/// The result of [`Portfolio::evaluate`]: every candidate outcome (in
-/// planner order) and the arbitration winner.
-#[derive(Debug)]
-pub struct PortfolioOutcome {
-    /// One outcome per portfolio planner, in portfolio order.
-    pub candidates: Vec<CandidateOutcome>,
-    /// Index of the winning candidate, if any scored.
-    pub winner: Option<usize>,
-}
-
-impl PortfolioOutcome {
-    /// The winning candidate, if any.
-    pub fn winning(&self) -> Option<&CandidateOutcome> {
-        self.winner.map(|i| &self.candidates[i])
-    }
-
-    /// Consumes the outcome and returns the winning plan.
-    pub fn into_winning_plan(mut self) -> Option<Plan> {
-        let i = self.winner?;
-        self.candidates[i].plan.take()
-    }
-}
-
 /// An ordered set of [`Planner`]s evaluated concurrently — one OS thread
 /// per non-cached planner via [`std::thread::scope`], each with its own
 /// cost-model clone, all sharing one telemetry collector.
 ///
-/// Arbitration is deterministic regardless of thread scheduling: results
-/// are collected in planner order and the winner is the lowest score with
-/// ties broken by portfolio position (so callers encode preference —
-/// e.g. *re-plan before fallback* — by ordering the planners).
+/// The portfolio plans, probes and caches; it does not choose. Results
+/// come back in planner order regardless of thread scheduling, so a
+/// caller that ranks them with [`ranked`] (ties to the earlier planner)
+/// encodes preference — e.g. *re-plan before fallback* — by ordering the
+/// planners.
 #[derive(Default)]
 pub struct Portfolio {
     planners: Vec<Box<dyn Planner>>,
@@ -160,18 +139,19 @@ impl Portfolio {
         self.planners.is_empty()
     }
 
-    /// Evaluates every planner against `inputs` and arbitrates.
+    /// Evaluates every planner against `inputs` and returns one outcome
+    /// per planner, in portfolio order.
     ///
     /// With a cache, each cacheable planner's [`Fingerprint`] is looked up
     /// first (`planner.cache_hit` / `planner.cache_miss` telemetry); fresh
     /// plans are inserted afterwards. Cache-served plans are still probed —
-    /// a memoized plan that no longer fits the cluster loses the
-    /// arbitration instead of being deployed blind.
+    /// a memoized plan that no longer fits the cluster carries its probe
+    /// error instead of being deployed blind.
     pub fn evaluate(
         &self,
         inputs: &PortfolioInputs<'_>,
         cache: Option<&PlanCache>,
-    ) -> PortfolioOutcome {
+    ) -> Vec<CandidateOutcome> {
         let n = self.planners.len();
         let col = inputs.collector.clone();
         let _portfolio_phase = col.as_deref().map(|c| c.phase("portfolio"));
@@ -235,7 +215,7 @@ impl Portfolio {
         // Planning pass: uncached planners run concurrently, one scoped
         // thread each (a single job runs inline — no thread overhead).
         // Results land in planner order, so scheduling cannot affect
-        // arbitration.
+        // the outcome.
         type PlanRun = (Result<Plan, FastTError>, u32, f64, CostModels);
         let jobs: Vec<usize> = (0..n).filter(|&i| cached_plans[i].is_none()).collect();
         let run = |i: usize| -> PlanRun {
@@ -339,30 +319,8 @@ impl Portfolio {
             candidates.push(out);
         }
 
-        // Arbitration: lowest score wins, ties to the earliest planner.
-        let score = |c: &CandidateOutcome| -> Option<f64> {
-            let s = if inputs.probe.is_some() {
-                c.simulated?
-            } else {
-                c.est_finish()
-            };
-            (!s.is_nan()).then_some(s)
-        };
-        let mut winner: Option<usize> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            if let Some(s) = score(c) {
-                let better = match winner {
-                    Some(w) => s < score(&candidates[w]).unwrap_or(f64::INFINITY),
-                    None => true,
-                };
-                if better {
-                    winner = Some(i);
-                }
-            }
-        }
-
         if let Some(col) = &col {
-            for (i, c) in candidates.iter().enumerate() {
+            for c in &candidates {
                 col.metrics().inc("planner.candidates");
                 col.emit(
                     "planner.candidate",
@@ -375,27 +333,31 @@ impl Portfolio {
                         "simulated" => c.simulated.unwrap_or(f64::NAN),
                         "evals_used" => c.evals_used as u64,
                         "calc_secs" => c.calc_secs,
-                        "selected" => winner == Some(i),
-                    },
-                );
-            }
-            if let Some(w) = winner {
-                let c = &candidates[w];
-                col.metrics().inc("planner.selections");
-                col.emit(
-                    "planner.selected",
-                    jobj! {
-                        "planner" => c.planner,
-                        "kind" => c.kind.as_str(),
-                        "cached" => c.cached,
-                        "score" => score(c).unwrap_or(f64::NAN),
-                        "by" => if inputs.probe.is_some() { "probe" } else { "estimate" },
-                        "candidates" => candidates.len() as u64,
                     },
                 );
             }
         }
 
-        PortfolioOutcome { candidates, winner }
+        candidates
     }
+}
+
+/// Indices of the candidates that have a plan and a comparable `key`,
+/// best first: ascending by key, ties to the earlier candidate. A
+/// candidate without a plan, or whose key is `None` or NaN, is left out.
+///
+/// The session's one ranking rule — recovery ranks by probed time,
+/// promotion by probed time per replica, pre-training by estimate.
+pub fn ranked(
+    candidates: &[CandidateOutcome],
+    key: impl Fn(&CandidateOutcome) -> Option<f64>,
+) -> Vec<usize> {
+    let mut keyed: Vec<(usize, f64)> = candidates
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.plan.is_some())
+        .filter_map(|(i, c)| key(c).filter(|k| !k.is_nan()).map(|k| (i, k)))
+        .collect();
+    keyed.sort_by(|a, b| a.1.total_cmp(&b.1));
+    keyed.into_iter().map(|(i, _)| i).collect()
 }

@@ -3,9 +3,9 @@
 //! fleet manager's explicit grant/preempt entry points, which reuse the
 //! same ladders over the session's allocation.
 
-use super::{replicas_of, LadderRung, RecoveryEvent, TrainingSession};
+use super::{per_replica_time, replicas_of, LadderRung, RecoveryEvent, TrainingSession};
 use crate::error::FastTError;
-use crate::planner::PlannerKind;
+use crate::planner::{ranked, PlannerKind};
 use fastt_cluster::{DeviceHealth, DeviceId};
 use fastt_sim::{FaultSchedule, LifecycleKind};
 use fastt_telemetry::jobj;
@@ -255,11 +255,11 @@ impl TrainingSession {
 
     /// The promotion ladder (the growth mirror of
     /// [`Self::replan_and_degrade`]): re-plan over the enlarged survivor
-    /// set and adopt the winner only when its probed **per-replica** time
-    /// beats the incumbent's by the hysteresis margin. Per replica,
-    /// because the session replicates the training graph once per live
-    /// GPU — a plan over more GPUs does proportionally more work per
-    /// iteration, so raw makespans are not comparable across replica
+    /// set and adopt the best-ranked candidate only when its probed
+    /// **per-replica** time beats the incumbent's by the hysteresis margin.
+    /// Per replica, because the session replicates the training graph once
+    /// per live GPU — a plan over more GPUs does proportionally more work
+    /// per iteration, so raw makespans are not comparable across replica
     /// counts. Hysteresis (a cooldown between attempts plus a minimum
     /// improvement) keeps spot churn from thrashing plans. Promotion is
     /// opportunistic: a planning dead end holds the incumbent instead of
@@ -282,18 +282,11 @@ impl TrainingSession {
         let incumbent = incumbent_raw / replicas_of(&self.current) as f64;
         let survivors = self.alloc.topo().gpu_count();
         let (mut merged, _) = self.plan_candidates_over_survivors(probe);
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (i, c) in merged.iter().enumerate() {
-            let (Some(m), Some(p)) = (c.simulated, c.plan.as_ref()) else {
-                continue;
-            };
-            let score = m / replicas_of(p) as f64;
-            if best.is_none_or(|(_, s, _)| score < s) {
-                best = Some((i, score, m));
-            }
-        }
-        let adopt = best.filter(|&(_, score, _)| score < incumbent * (1.0 - PROMOTE_MARGIN));
-        let Some((i, score, raw)) = adopt else {
+        let best = ranked(&merged, per_replica_time)
+            .first()
+            .map(|&i| (i, per_replica_time(&merged[i]).expect("ranked by this key")));
+        let adopt = best.filter(|&(_, score)| score < incumbent * (1.0 - PROMOTE_MARGIN));
+        let Some((i, score)) = adopt else {
             if let Some(col) = &self.collector {
                 col.metrics().inc("session.promotions_held");
             }
@@ -303,7 +296,7 @@ impl TrainingSession {
                     "iteration" => iteration,
                     "survivors" => survivors as u64,
                     "incumbent" => incumbent,
-                    "candidate" => best.map(|(_, s, _)| s).unwrap_or(f64::INFINITY),
+                    "candidate" => best.map(|(_, s)| s).unwrap_or(f64::INFINITY),
                     "margin" => PROMOTE_MARGIN,
                 },
             );
@@ -316,7 +309,7 @@ impl TrainingSession {
         };
         self.rung = LadderRung::of_kind(kind);
         self.current = c.plan.take().expect("probed plan");
-        self.measured = raw;
+        self.measured = c.simulated.expect("probed time");
         self.recovery_log.push(RecoveryEvent::Promoted {
             survivors,
             kind,

@@ -23,8 +23,9 @@ mod recovery;
 
 use crate::error::FastTError;
 use crate::planner::{
-    DataParallelPlanner, DposPlanner, HierarchicalPlanner, ModelParallelPlanner, OrderOnlyPlanner,
-    OsDposPlanner, PlanCache, Planner, PlannerKind, Portfolio, PortfolioInputs, PortfolioOutcome,
+    ranked, CandidateOutcome, DataParallelPlanner, DposPlanner, HierarchicalPlanner,
+    ModelParallelPlanner, OrderOnlyPlanner, OsDposPlanner, PlanCache, Planner, PlannerKind,
+    Portfolio, PortfolioInputs,
 };
 use crate::strategy::Plan;
 use fastt_cluster::{Allocation, DeviceHealth, DeviceId, HealthMap, Topology};
@@ -352,6 +353,12 @@ fn replicas_of(plan: &Plan) -> usize {
         .unwrap_or(1)
 }
 
+/// A candidate's probed iteration time per data-parallel replica — the
+/// promotion ladder's ranking key; `None` when it has no plan or probe.
+fn per_replica_time(c: &CandidateOutcome) -> Option<f64> {
+    Some(c.simulated? / replicas_of(c.plan.as_ref()?) as f64)
+}
+
 /// Whether a profiling error is specific to the plan being measured (so a
 /// rollback to the previous plan can recover) rather than a cluster-wide
 /// dead end that must propagate.
@@ -412,15 +419,15 @@ impl TrainingSession {
         cache: Arc<PlanCache>,
         collector: Option<Arc<Collector>>,
     ) -> Result<Self, FastTError> {
-        // Both start strategies are planned and probed as one portfolio
-        // (concurrently), but selection is *first-feasible*, not
-        // fastest-probe: the paper always starts data-parallel when the
-        // replicated model fits, regardless of which probe looks quicker.
         // Bind the communication model to the slice up front: per-link-class
         // fits composed along physical routes, with link-spec priors so that
         // never-profiled links cost something pessimistic instead of zero.
         let mut cost = CostModels::new();
         cost.bind_topology(alloc.topo());
+        // Both start strategies are planned and probed as one portfolio
+        // (concurrently), but selection is *first-feasible*, not
+        // fastest-probe: the paper always starts data-parallel when the
+        // replicated model fits, regardless of which probe looks quicker.
         let portfolio = Portfolio::new()
             .with(Box::new(DataParallelPlanner::default()))
             .with(Box::new(ModelParallelPlanner))
@@ -443,9 +450,9 @@ impl TrainingSession {
             probe: Some(SimConfig::default()),
         };
         let mut outcome = portfolio.evaluate(&inputs, Some(&cache));
-        let mut hier_out = outcome.candidates.pop().expect("portfolio of three");
-        let mut mp_out = outcome.candidates.pop().expect("portfolio of three");
-        let mut dp_out = outcome.candidates.pop().expect("portfolio of three");
+        let mut hier_out = outcome.pop().expect("portfolio of three");
+        let mut mp_out = outcome.pop().expect("portfolio of three");
+        let mut dp_out = outcome.pop().expect("portfolio of three");
         let (start, started_dp) = if dp_out.simulated.is_some() {
             (dp_out.plan.take().expect("probed plan"), true)
         } else {
@@ -478,7 +485,7 @@ impl TrainingSession {
         };
         // Sec. 5.2's input-graph rule: strategies are computed from the
         // replica graph when DP fits, else from the raw training graph —
-        // both are exactly the winning start plan's graph.
+        // both are exactly the chosen start plan's graph.
         let base_graph = start.graph.clone();
         let lifecycle_processed = config
             .faults
@@ -609,9 +616,9 @@ impl TrainingSession {
         }
     }
 
-    /// The probe configuration for plan arbitration: the current position
+    /// The probe configuration for ranking candidates: the current position
     /// with faults included (so an infeasible-under-current-faults plan
-    /// loses the arbitration instead of failing after activation), but with
+    /// never ranks instead of failing after activation), but with
     /// `attempt = u32::MAX` to exempt probes from transient profile-failure
     /// windows — a probe is a planning query, not a profiling run, and
     /// recovery must not deadlock on them.
@@ -668,7 +675,11 @@ impl TrainingSession {
     /// Evaluates `portfolio` against the session's state (base graph, raw
     /// graph, current plan, live topology view, cost models, collector)
     /// through the session's shared [`PlanCache`].
-    fn run_portfolio(&self, portfolio: &Portfolio, probe: Option<SimConfig>) -> PortfolioOutcome {
+    fn run_portfolio(
+        &self,
+        portfolio: &Portfolio,
+        probe: Option<SimConfig>,
+    ) -> Vec<CandidateOutcome> {
         let inputs = PortfolioInputs {
             graph: &self.base_graph,
             raw: Some(&self.training_graph),
@@ -691,8 +702,8 @@ impl TrainingSession {
     /// and those must persist in the session exactly as the old
     /// mutate-in-place API did. Cache-served candidates carry no clone —
     /// their seeds were adopted when the plan was first computed.
-    fn adopt_candidate_cost(&mut self, outcome: &mut PortfolioOutcome) {
-        if let Some(cost) = outcome.candidates[0].cost.take() {
+    fn adopt_candidate_cost(&mut self, outcome: &mut [CandidateOutcome]) {
+        if let Some(cost) = outcome[0].cost.take() {
             self.cost = cost;
         }
     }
@@ -989,8 +1000,9 @@ impl TrainingSession {
         let portfolio = Portfolio::new().with(self.main_planner());
         let mut outcome = self.run_portfolio(&portfolio, None);
         self.adopt_candidate_cost(&mut outcome);
-        outcome
-            .into_winning_plan()
+        outcome[0]
+            .plan
+            .take()
             .expect("DPOS/OS-DPOS planning is total")
     }
 
@@ -1000,8 +1012,8 @@ impl TrainingSession {
     /// exactly like [`Self::compute_candidate`].
     pub fn compute_candidate_no_split(&mut self) -> Plan {
         let portfolio = Portfolio::new().with(Box::new(DposPlanner));
-        let outcome = self.run_portfolio(&portfolio, None);
-        outcome.into_winning_plan().expect("DPOS planning is total")
+        let mut outcome = self.run_portfolio(&portfolio, None);
+        outcome[0].plan.take().expect("DPOS planning is total")
     }
 
     /// Replaces the hardware model mid-session (used by tests and the drift
@@ -1074,56 +1086,76 @@ impl TrainingSession {
                         },
                     );
                     if candidate.est_finish < self.measured {
-                        let est = candidate.est_finish;
-                        let previous = std::mem::replace(&mut self.current, candidate);
-                        let prev_measured = self.measured;
-                        match self.profile(self.config.profile_iters) {
-                            Ok(m) if m <= prev_measured => {
-                                self.measured = m;
-                                self.rung = LadderRung::Replanned;
-                                self.emit(
-                                    "session.activation",
-                                    jobj! {
-                                        "stage" => "normal",
-                                        "est" => est,
-                                        "measured_before" => prev_measured,
-                                        "measured_after" => m,
-                                        "est_error" => (m - est) / est.max(f64::MIN_POSITIVE),
-                                    },
-                                );
-                            }
-                            Ok(m) => {
-                                self.roll_back_to(previous);
-                                self.emit(
-                                    "session.rollback",
-                                    jobj! {
-                                        "stage" => "normal",
-                                        "est" => est,
-                                        "measured_before" => prev_measured,
-                                        "measured_after" => m,
-                                        "est_error" => (m - est) / est.max(f64::MIN_POSITIVE),
-                                    },
-                                );
-                            }
-                            Err(e) if !recoverable(&e) => return Err(e),
-                            Err(_) => {
-                                self.roll_back_to(previous);
-                                self.emit(
-                                    "session.rollback",
-                                    jobj! {
-                                        "stage" => "normal",
-                                        "est" => est,
-                                        "measured_before" => prev_measured,
-                                        "failed" => true,
-                                    },
-                                );
-                            }
-                        }
+                        self.activate(candidate, "redeploy", "normal", None)?;
                     }
                 }
             }
         }
         Ok(total / done.max(1) as f64)
+    }
+
+    /// Swaps `candidate` in and measures it over `profile_iters`
+    /// iterations (Sec. 4, "Strategy Calculator"): keeps it when it
+    /// measures no slower than the plan it replaced, else rolls back — also
+    /// when it fails outright with a plan-specific error (e.g. OOM). Emits
+    /// `session.activation` or `session.rollback` and bumps the matching
+    /// counter; a kept redeployment climbs to [`LadderRung::Replanned`].
+    /// Returns whether the candidate was kept.
+    ///
+    /// # Errors
+    ///
+    /// Propagates profiling failures a rollback cannot recover from.
+    fn activate(
+        &mut self,
+        candidate: Plan,
+        kind: &'static str,
+        stage: &'static str,
+        round: Option<u32>,
+    ) -> Result<bool, FastTError> {
+        let est = candidate.est_finish;
+        let previous = std::mem::replace(&mut self.current, candidate);
+        let before = self.measured;
+        let after = match self.profile(self.config.profile_iters) {
+            Ok(m) => Some(m),
+            Err(e) if !recoverable(&e) => return Err(e),
+            Err(_) => None,
+        };
+        let kept = matches!(after, Some(m) if m <= before);
+        let mut fields = match after {
+            Some(m) => jobj! {
+                "kind" => kind,
+                "stage" => stage,
+                "est" => est,
+                "measured_before" => before,
+                "measured_after" => m,
+                "est_error" => (m - est) / est.max(f64::MIN_POSITIVE),
+            },
+            None => jobj! {
+                "kind" => kind,
+                "stage" => stage,
+                "est" => est,
+                "measured_before" => before,
+                "failed" => true,
+            },
+        };
+        if let (Some(r), Value::Obj(f)) = (round, &mut fields) {
+            f.insert(0, ("round".to_string(), Value::from(r as u64)));
+        }
+        let (event, counter) = if kept {
+            self.measured = after.expect("a kept candidate was measured");
+            if kind == "redeploy" {
+                self.rung = LadderRung::Replanned;
+            }
+            ("session.activation", "session.activations")
+        } else {
+            self.roll_back_to(previous);
+            ("session.rollback", "session.rollbacks")
+        };
+        if let Some(col) = &self.collector {
+            col.metrics().inc(counter);
+        }
+        self.emit(event, fields);
+        Ok(kept)
     }
 
     /// Runs the full pre-training workflow: profile → update cost models →
@@ -1174,18 +1206,17 @@ impl TrainingSession {
             }
             let mut outcome = self.run_portfolio(&portfolio, None);
             self.adopt_candidate_cost(&mut outcome);
-            let mut candidates: Vec<(Plan, &'static str)> = outcome
-                .candidates
-                .iter_mut()
-                .filter_map(|c| {
+            let candidates: Vec<(Plan, &'static str)> = ranked(&outcome, |c| Some(c.est_finish()))
+                .into_iter()
+                .map(|i| {
+                    let c = &mut outcome[i];
                     let kind = match c.kind {
                         PlannerKind::OrderOnly => "order",
                         _ => "redeploy",
                     };
-                    c.plan.take().map(|p| (p, kind))
+                    (c.plan.take().expect("ranked candidates have plans"), kind)
                 })
                 .collect();
-            candidates.sort_by(|a, b| a.0.est_finish.total_cmp(&b.0.est_finish));
             report.strategy_calc_secs += t0.elapsed().as_secs_f64();
             for (candidate, kind) in &candidates {
                 self.emit(
@@ -1202,87 +1233,22 @@ impl TrainingSession {
             }
 
             // Activate only when the estimate beats the measured time of the
-            // current strategy (Sec. 4, "Strategy Calculator"); roll back
-            // when the measured time regresses.
+            // current strategy (Sec. 4, "Strategy Calculator"); a NaN
+            // estimate never does.
             let mut activated = false;
             for (mut candidate, kind) in candidates {
-                if candidate.est_finish >= self.measured {
-                    continue;
-                }
-                self.arbitrate_order(&mut candidate);
-                if kind == "order" && candidate.order.is_none() {
-                    // the order was the candidate's whole content
-                    continue;
-                }
-                let est = candidate.est_finish;
-                let previous = std::mem::replace(&mut self.current, candidate);
-                let prev_measured = self.measured;
-                match self.profile(self.config.profile_iters) {
-                    Ok(new_measured) if new_measured <= prev_measured => {
-                        self.measured = new_measured;
+                if candidate.est_finish < self.measured {
+                    self.arbitrate_order(&mut candidate);
+                    if kind == "order" && candidate.order.is_none() {
+                        // the order was the candidate's whole content
+                        continue;
+                    }
+                    if self.activate(candidate, kind, "pre_train", Some(report.rounds))? {
                         report.activations += 1;
                         activated = true;
-                        if kind == "redeploy" {
-                            self.rung = LadderRung::Replanned;
-                        }
-                        if let Some(col) = &self.collector {
-                            col.metrics().inc("session.activations");
-                        }
-                        self.emit(
-                            "session.activation",
-                            jobj! {
-                                "round" => report.rounds as u64,
-                                "kind" => kind,
-                                "stage" => "pre_train",
-                                "est" => est,
-                                "measured_before" => prev_measured,
-                                "measured_after" => new_measured,
-                                "est_error" => (new_measured - est) / est.max(f64::MIN_POSITIVE),
-                            },
-                        );
                         break;
                     }
-                    Ok(new_measured) => {
-                        // measured regression: roll back, recording how far
-                        // off the estimate was
-                        self.roll_back_to(previous);
-                        report.rollbacks += 1;
-                        if let Some(col) = &self.collector {
-                            col.metrics().inc("session.rollbacks");
-                        }
-                        self.emit(
-                            "session.rollback",
-                            jobj! {
-                                "round" => report.rounds as u64,
-                                "kind" => kind,
-                                "stage" => "pre_train",
-                                "est" => est,
-                                "measured_before" => prev_measured,
-                                "measured_after" => new_measured,
-                                "est_error" => (new_measured - est) / est.max(f64::MIN_POSITIVE),
-                            },
-                        );
-                    }
-                    Err(e) if !recoverable(&e) => return Err(e),
-                    Err(_) => {
-                        // the new plan failed outright (e.g. OOM): roll back
-                        self.roll_back_to(previous);
-                        report.rollbacks += 1;
-                        if let Some(col) = &self.collector {
-                            col.metrics().inc("session.rollbacks");
-                        }
-                        self.emit(
-                            "session.rollback",
-                            jobj! {
-                                "round" => report.rounds as u64,
-                                "kind" => kind,
-                                "stage" => "pre_train",
-                                "est" => est,
-                                "measured_before" => prev_measured,
-                                "failed" => true,
-                            },
-                        );
-                    }
+                    report.rollbacks += 1;
                 }
             }
             if !activated {
@@ -1314,6 +1280,7 @@ impl TrainingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::data_parallel_plan;
     use fastt_cluster::AllocationId;
     use fastt_models::Model;
 
@@ -1459,6 +1426,47 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn ranked_sorts_by_key_with_ties_to_the_earlier_candidate() {
+        let g = Model::LeNet.training_graph(32);
+        let dp = |n: u16| {
+            let rep = fastt_graph::replicate(&g, n.into()).unwrap();
+            data_parallel_plan(&rep, &Topology::single_server(n))
+        };
+        let (two, four) = (dp(2), dp(4));
+        let candidate = |plan: Option<&Plan>, simulated| CandidateOutcome {
+            planner: "test",
+            kind: PlannerKind::WhiteBox,
+            plan: plan.cloned(),
+            simulated,
+            evals_used: 0,
+            cached: false,
+            calc_secs: 0.0,
+            error: None,
+            cost: None,
+        };
+        let slate = [
+            candidate(Some(&two), Some(3.0)),
+            candidate(Some(&two), Some(f64::NAN)),
+            candidate(Some(&two), None),
+            candidate(None, Some(1.0)),
+            candidate(Some(&two), Some(2.0)),
+            candidate(Some(&two), Some(3.0)),
+        ];
+        // NaN, None and plan-less candidates never rank; 0 and 5 tie and
+        // keep their order.
+        assert_eq!(ranked(&slate, |c| c.simulated), vec![4, 0, 5]);
+
+        // Per replica, a 4-GPU plan with the larger raw makespan ranks
+        // ahead of a 2-GPU plan.
+        let growth = [
+            candidate(Some(&two), Some(2.0)),
+            candidate(Some(&four), Some(3.0)),
+        ];
+        assert_eq!(ranked(&growth, |c| c.simulated), vec![0, 1]);
+        assert_eq!(ranked(&growth, per_replica_time), vec![1, 0]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use super::{LadderRung, RecoveryEvent, TrainingSession};
 use crate::error::FastTError;
 use crate::planner::{
-    CandidateOutcome, DataParallelPlanner, HierarchicalPlanner, ModelParallelPlanner, PlannerKind,
-    Portfolio,
+    ranked, CandidateOutcome, DataParallelPlanner, HierarchicalPlanner, ModelParallelPlanner,
+    PlannerKind, Portfolio,
 };
 use crate::strategy::Plan;
 use fastt_cluster::DeviceId;
@@ -255,11 +255,10 @@ impl TrainingSession {
     /// start-strategy fallbacks — data parallelism when it still fits, else
     /// model parallelism (a single-device plan in the 1-GPU limit) — and
     /// adopts whichever *measures* fastest; choosing a fallback over the
-    /// candidate is the rollback the tentpole requires. Arbitration over
-    /// the merged set keeps the ladder's preference order — re-plan, then
-    /// ring all-reduce over the survivors, then the PS funnel, then model
-    /// parallelism — by strict lowest-probed-time with ties to the earlier
-    /// candidate.
+    /// candidate is this path's rollback. [`ranked`] by probed time, the
+    /// merged set keeps the ladder's preference order — re-plan, then ring
+    /// all-reduce over the survivors, then the PS funnel, then model
+    /// parallelism — on ties.
     pub(super) fn replan_and_degrade(
         &mut self,
         iteration: u64,
@@ -288,20 +287,8 @@ impl TrainingSession {
 
         let probe = self.probe_config();
         let (mut merged, last_err) = self.plan_candidates_over_survivors(probe);
-        let mut best: Option<usize> = None;
-        for (i, c) in merged.iter().enumerate() {
-            if let Some(m) = c.simulated {
-                let better = match best {
-                    Some(b) => m < merged[b].simulated.unwrap_or(f64::INFINITY),
-                    None => true,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        let (plan, kind, probe_measured) = match best {
-            Some(i) => {
+        let (plan, kind, probe_measured) = match ranked(&merged, |c| c.simulated).first() {
+            Some(&i) => {
                 let c = &mut merged[i];
                 let kind = match c.kind {
                     PlannerKind::StartStrategy => c.planner,
@@ -391,8 +378,8 @@ impl TrainingSession {
             .with(Box::new(DataParallelPlanner::all_reduce()))
             .with(Box::new(DataParallelPlanner::default()));
         let mut dp_outcome = self.run_portfolio(&dp_portfolio, Some(probe.clone()));
-        let ps_out = dp_outcome.candidates.pop().expect("portfolio of two");
-        let ar_out = dp_outcome.candidates.pop().expect("portfolio of two");
+        let ps_out = dp_outcome.pop().expect("portfolio of two");
+        let ar_out = dp_outcome.pop().expect("portfolio of two");
         let dp_ok = ar_out.simulated.is_some() || ps_out.simulated.is_some();
         self.base_graph = [&ar_out, &ps_out]
             .iter()
@@ -413,7 +400,7 @@ impl TrainingSession {
         let mut outcome = self.run_portfolio(&portfolio, Some(probe));
         self.adopt_candidate_cost(&mut outcome);
         let mut merged: Vec<CandidateOutcome> = Vec::with_capacity(4);
-        let mut rest = outcome.candidates.drain(..);
+        let mut rest = outcome.drain(..);
         merged.push(rest.next().expect("main candidate"));
         merged.push(ar_out);
         merged.push(ps_out);

@@ -149,7 +149,7 @@ proptest! {
     /// elastic promotion ladder's invariant. Two parts: (1) idle capacity
     /// is free — a GPU-only plan that does not use the added devices
     /// simulates identically on the grown cluster (its devices keep their
-    /// ids and wiring); (2) plan arbitration takes a min over candidates
+    /// ids and wiring); (2) candidate ranking takes a min over candidates
     /// and the carried-over plan is always a candidate in principle, so
     /// the best simulated time over the grown cluster never regresses.
     #[test]

@@ -1,5 +1,5 @@
 //! Acceptance tests for the unified planner layer: portfolio concurrency
-//! and deterministic arbitration, fingerprint-keyed plan caching (and its
+//! and deterministic ranking, fingerprint-keyed plan caching (and its
 //! invalidation on blacklists and cost-model refits), seeded search
 //! determinism, and the traced no-split candidate path.
 
@@ -9,8 +9,8 @@ use fastt::search::{
     RandomPlanner,
 };
 use fastt::{
-    bootstrap_cost_models, DposPlanner, FastTError, Plan, PlanCache, Portfolio, PortfolioInputs,
-    SessionConfig, TrainingSession,
+    bootstrap_cost_models, ranked, CandidateOutcome, DposPlanner, FastTError, Plan, PlanCache,
+    Portfolio, PortfolioInputs, SessionConfig, TrainingSession,
 };
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
@@ -53,15 +53,15 @@ fn cache_hits_on_unchanged_fingerprint_and_misses_on_blacklist_or_refit() {
     let cache = PlanCache::default();
 
     let first = portfolio.evaluate(&inputs(&graph, &topo, &hw, &cost), Some(&cache));
-    assert!(!first.candidates[0].cached);
+    assert!(!first[0].cached);
     assert_eq!(cache.misses(), 1);
-    let first_plan = first.into_winning_plan().unwrap();
+    let first_plan = first[0].plan.as_ref().unwrap();
 
     // identical inputs: served from the cache, bit-identical plan
     let second = portfolio.evaluate(&inputs(&graph, &topo, &hw, &cost), Some(&cache));
-    assert!(second.candidates[0].cached);
+    assert!(second[0].cached);
     assert_eq!(cache.hits(), 1);
-    let second_plan = second.into_winning_plan().unwrap();
+    let second_plan = second[0].plan.as_ref().unwrap();
     assert_eq!(first_plan.placement, second_plan.placement);
     assert_eq!(first_plan.order, second_plan.order);
 
@@ -69,7 +69,7 @@ fn cache_hits_on_unchanged_fingerprint_and_misses_on_blacklist_or_refit() {
     topo.fail_device(DeviceId(3));
     let after_fail = portfolio.evaluate(&inputs(&graph, &topo, &hw, &cost), Some(&cache));
     assert!(
-        !after_fail.candidates[0].cached,
+        !after_fail[0].cached,
         "a blacklisted device must invalidate the cached plan"
     );
 
@@ -86,7 +86,7 @@ fn cache_hits_on_unchanged_fingerprint_and_misses_on_blacklist_or_refit() {
     assert!(cost.generation() > gen_before);
     let after_refit = portfolio.evaluate(&inputs(&graph, &topo, &hw, &cost), Some(&cache));
     assert!(
-        !after_refit.candidates[0].cached,
+        !after_refit[0].cached,
         "a cost-model refit must invalidate the cached plan"
     );
 }
@@ -129,8 +129,8 @@ fn portfolio_evaluates_candidates_on_separate_threads() {
         portfolio.push(Box::new(ThreadProbe { ids: ids.clone() }));
     }
     let outcome = portfolio.evaluate(&inputs(&graph, &topo, &hw, &cost), None);
-    assert_eq!(outcome.candidates.len(), 3);
-    assert!(outcome.candidates.iter().all(|c| c.plan.is_some()));
+    assert_eq!(outcome.len(), 3);
+    assert!(outcome.iter().all(|c| c.plan.is_some()));
 
     let ids = ids.lock().unwrap();
     assert_eq!(ids.len(), 3);
@@ -168,9 +168,25 @@ fn portfolio_arbitration_is_deterministic_under_fixed_seeds() {
     };
     let a = portfolio().evaluate(&inputs(&graph, &topo, &hw, &cost), None);
     let b = portfolio().evaluate(&inputs(&graph, &topo, &hw, &cost), None);
-    assert_eq!(a.winner, b.winner, "same seeds must elect the same winner");
-    assert!(a.winner.is_some());
-    for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
+    let by_est = |c: &CandidateOutcome| Some(c.est_finish());
+    assert_eq!(
+        ranked(&a, by_est)[0],
+        ranked(&b, by_est)[0],
+        "same seeds must rank the same candidate first"
+    );
+    for (ca, cb) in a.iter().zip(&b) {
+        assert_eq!(
+            ca.est_finish().to_bits(),
+            cb.est_finish().to_bits(),
+            "{} estimate drifted",
+            ca.planner
+        );
+        assert_eq!(
+            ca.simulated.map(f64::to_bits),
+            cb.simulated.map(f64::to_bits),
+            "{} probe drifted",
+            ca.planner
+        );
         assert_eq!(
             ca.plan.as_ref().unwrap().placement,
             cb.plan.as_ref().unwrap().placement,
@@ -278,7 +294,7 @@ fn same_seed_sessions_choose_identical_plans_through_recovery() {
 #[test]
 fn cached_plans_are_probed_before_deployment() {
     // A cache-served plan must still be probed: stale plans that no longer
-    // fit the cluster lose the arbitration instead of being deployed blind.
+    // fit the cluster carry a probe error instead of being deployed blind.
     let graph = Model::LeNet.training_graph(32);
     let topo = Topology::single_server(2);
     let hw = HardwarePerf::new();
@@ -289,11 +305,11 @@ fn cached_plans_are_probed_before_deployment() {
     let mut with_probe = inputs(&graph, &topo, &hw, &cost);
     with_probe.probe = Some(SimConfig::default());
     let first = portfolio.evaluate(&with_probe, Some(&cache));
-    assert!(first.candidates[0].simulated.is_some());
+    assert!(first[0].simulated.is_some());
     let second = portfolio.evaluate(&with_probe, Some(&cache));
-    assert!(second.candidates[0].cached);
+    assert!(second[0].cached);
     assert!(
-        second.candidates[0].simulated.is_some(),
+        second[0].simulated.is_some(),
         "cached candidates are re-probed under the current conditions"
     );
 }

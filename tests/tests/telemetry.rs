@@ -194,9 +194,13 @@ fn dpos_place_events_record_considered_devices() {
 fn hardware_drift_is_detected_and_recomputation_observable() {
     // Slow the hardware down mid-run: the periodic re-profiler must emit a
     // drift event and follow up with a candidate recomputation.
-    let (mut s, sink, _col) = session_with_sink(Model::AlexNet, 16);
+    let (mut s, sink, col) = session_with_sink(Model::AlexNet, 16);
+    let decisions = |sink: &MemorySink| {
+        sink.events_of("session.activation").len() + sink.events_of("session.rollback").len()
+    };
     s.pre_train().unwrap();
     s.train_normal(10, 3).unwrap();
+    let mut decided = decisions(&sink);
     sink.clear();
 
     let mut slow_hw = HardwarePerf::new();
@@ -227,4 +231,23 @@ fn hardware_drift_is_detected_and_recomputation_observable() {
         .any(|e| e.str_field("stage") == Some("normal")));
     // and the drift event precedes the candidate it caused
     assert!(drifts[0].seq < candidates[0].seq);
+
+    // Both stages decide through one activation routine: the counters
+    // count every activation and rollback event, normal-stage ones too.
+    let normal = sink
+        .events_of("session.activation")
+        .into_iter()
+        .chain(sink.events_of("session.rollback"))
+        .filter(|e| e.str_field("stage") == Some("normal"))
+        .count();
+    assert!(normal > 0, "the drift re-plan must reach an activation");
+    decided += decisions(&sink);
+    let counter = |name| match col.metrics().get(name) {
+        Some(MetricValue::Counter(n)) => n as usize,
+        _ => 0,
+    };
+    assert_eq!(
+        counter("session.activations") + counter("session.rollbacks"),
+        decided
+    );
 }
