@@ -7,10 +7,8 @@ use crate::{
     dp_plan, per_replica_batch, run_dp, run_fastt, Cell, Table, MEASURE_ITERS, STRONG_SCALING,
     WEAK_SCALING,
 };
-use fastt::search::{
-    cem_search, gdp_place, mcmc_search, random_search, reinforce_search, CemPlanner, GdpPlanner,
-    McmcPlanner, ReinforcePlanner,
-};
+use fastt::planner::{Planner, PlanningContext};
+use fastt::search::{CemPlanner, GdpPlanner, McmcPlanner, RandomPlanner, ReinforcePlanner};
 use fastt::{
     bootstrap_cost_models, data_parallel_plan, data_parallel_plan_on, dpos, dpos_with, DposOptions,
     FastTError, Portfolio, PortfolioInputs, SessionConfig, TrainingSession,
@@ -828,30 +826,65 @@ pub fn search_budget() -> Table {
     );
 
     let raw = model.training_graph(global);
+    // a planner's best simulated time; the black-box searchers ignore the
+    // cost models
+    let best = |planner: &dyn Planner, graph: &Graph, current: Option<&fastt::Plan>| {
+        let mut ctx = PlanningContext::new(graph, &topo, &hw, CostModels::new());
+        ctx.current = current;
+        Cell::Num(planner.plan(&mut ctx).expect("live GPUs").est_finish, 4)
+    };
     for budget in [10u32, 40, 160, 640] {
-        let rnd = random_search(&raw, &topo, &hw, budget, 1);
-        let rl = reinforce_search(&raw, &topo, &hw, budget / 8, 8, 2);
-        let cem = cem_search(&raw, &topo, &hw, budget / 10, 10, 0.25, 3);
-        let mcmc = mcmc_search(&rep.graph, &topo, &hw, Some(&dp.placement), budget, 0.03, 4);
+        let mcmc = McmcPlanner {
+            evals: budget,
+            temp: 0.03,
+            seed: 4,
+            start_from_current: true,
+        };
         table.rows.push(vec![
             Cell::Num(budget.into(), 0),
-            Cell::Num(rnd.best_time, 4),
-            Cell::Num(rl.best_time, 4),
-            Cell::Num(cem.best_time, 4),
-            Cell::Num(mcmc.best_time, 4),
+            best(
+                &RandomPlanner {
+                    evals: budget,
+                    seed: 1,
+                },
+                &raw,
+                None,
+            ),
+            best(
+                &ReinforcePlanner {
+                    rounds: budget / 8,
+                    batch: 8,
+                    seed: 2,
+                },
+                &raw,
+                None,
+            ),
+            best(
+                &CemPlanner {
+                    rounds: budget / 10,
+                    pop: 10,
+                    elite_frac: 0.25,
+                    seed: 3,
+                },
+                &raw,
+                None,
+            ),
+            best(&mcmc, &rep.graph, Some(&dp)),
         ]);
     }
 
     // one-shot white-box methods for contrast
     let cost = bootstrap_cost_models(&raw, &topo, &hw);
-    let gdp = gdp_place(&raw, &topo, &cost, &hw);
+    let gdp = GdpPlanner
+        .plan(&mut PlanningContext::new(&raw, &topo, &hw, cost))
+        .expect("live GPUs");
     let mut session =
         TrainingSession::new(&replica, topo.clone(), hw.clone(), SessionConfig::default())
             .expect("feasible");
     let report = session.pre_train().expect("trains");
     table.notes = vec![
         format!("DP baseline: {dp_time:.4} s/iteration"),
-        format!("GDP (white box, 1 eval): {:.4} s/iteration", gdp.best_time),
+        format!("GDP (white box, 1 eval): {:.4} s/iteration", gdp.est_finish),
         format!(
             "FastT (white box + profiling): {:.4} s/iteration",
             report.final_iter_time

@@ -1,7 +1,7 @@
 //! [`Planner`] implementations for FastT's own algorithms and the classical
 //! baselines: DPOS, OS-DPOS, order-only, data parallelism and model
-//! parallelism. The five black-box searchers live
-//! next to their algorithms in [`crate::search`].
+//! parallelism. The five Fig.-3 search baselines are planners in
+//! [`crate::search`].
 
 use super::{Planner, PlannerKind, PlanningContext};
 use crate::dpos::{dpos_with, DposOptions};
@@ -159,10 +159,6 @@ impl Planner for DataParallelPlanner {
         PlannerKind::StartStrategy
     }
 
-    fn uses_cost_models(&self) -> bool {
-        false
-    }
-
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
         let raw = ctx.raw.ok_or(FastTError::InvalidArgument(
             "data-parallel planning needs the raw training graph in the context",
@@ -192,10 +188,6 @@ impl Planner for ModelParallelPlanner {
 
     fn kind(&self) -> PlannerKind {
         PlannerKind::StartStrategy
-    }
-
-    fn uses_cost_models(&self) -> bool {
-        false
     }
 
     fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {

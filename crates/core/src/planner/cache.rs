@@ -96,7 +96,12 @@ impl Fingerprint {
             (PlannerKind::StartStrategy, Some(r)) => r.structure_hash(),
             _ => graph.structure_hash(),
         };
-        let uses_cost = planner.uses_cost_models();
+        // start strategies and black-box searchers plan from topology and
+        // simulation alone, so their cached plans survive cost-model refits
+        let uses_cost = !matches!(
+            planner.kind(),
+            PlannerKind::StartStrategy | PlannerKind::Search
+        );
         let mut context = mix(0xC0DE ^ ctx.enable_order as u64);
         // the PS device in canonical coordinates: slot + 1, 0 when unset
         // or dead (planners ignore a dead PS, so the plan is PS-free)

@@ -3,9 +3,10 @@
 //! Every way FastT can produce a [`Plan`] — the white-box DPOS / OS-DPOS
 //! heuristics (Alg. 1 / Alg. 2), the order-only lever (Fig. 2), the
 //! data-parallel and model-parallel start strategies (Sec. 4), the
-//! hierarchical region planner, and the five Fig.-3 black-box searchers —
-//! implements one [`Planner`] trait over one [`PlanningContext`]. On top
-//! of that sit:
+//! hierarchical region planner, and the five Fig.-3 search baselines of
+//! [`crate::search`] — implements one [`Planner`] trait over one
+//! [`PlanningContext`], and the planner is each algorithm's only entry
+//! point. On top of that sit:
 //!
 //! * [`Portfolio`] — evaluates a configurable candidate set concurrently
 //!   (one OS thread per planner via [`std::thread::scope`], each with its
@@ -95,9 +96,10 @@ pub fn default_slos() -> Vec<Slo> {
 }
 
 /// What family a planner belongs to — reported in `planner.*` telemetry and
-/// used by the cache to pick the fingerprint's graph component (start
-/// strategies plan from the raw training graph, everything else from the
-/// context's planning graph).
+/// read by the cache: start strategies plan from the raw training graph,
+/// everything else from the context's planning graph; start strategies and
+/// searchers ignore the cost models, so cost-model refits invalidate only
+/// the other kinds' cached plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PlannerKind {
@@ -138,15 +140,6 @@ pub trait Planner: Send + Sync {
 
     /// The planner's family.
     fn kind(&self) -> PlannerKind;
-
-    /// Whether predictions of the adaptive cost models feed the plan. When
-    /// `true`, the cache fingerprint includes the cost-model generation
-    /// counter, so refits invalidate cached plans; when `false` (pure
-    /// topology/hardware planners like the start strategies), cached plans
-    /// survive cost-model updates.
-    fn uses_cost_models(&self) -> bool {
-        true
-    }
 
     /// Whether the result may be memoized by a [`PlanCache`]. Planners
     /// whose output depends on inputs outside the fingerprint (e.g. the

@@ -5,77 +5,18 @@
 //! FastT's one-shot heuristic misses, at orders of magnitude higher search
 //! cost — matching the paper's Fig. 3 relationship.
 
-use super::{Evaluator, SearchResult, Units};
-use fastt_cluster::Topology;
-use fastt_graph::Graph;
-use fastt_sim::{HardwarePerf, Placement};
+use super::Search;
+use crate::planner::{hash_params, Planner, PlannerKind, PlanningContext};
+use crate::{FastTError, Plan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs `evals` MCMC steps starting from `start` (or a random placement when
-/// `None`), proposing single-unit device moves and accepting by the
-/// Metropolis rule at temperature `temp` (relative runtime units).
-pub fn mcmc_search(
-    graph: &Graph,
-    topo: &Topology,
-    hw: &HardwarePerf,
-    start: Option<&Placement>,
-    evals: u32,
-    temp: f64,
-    seed: u64,
-) -> SearchResult {
-    let units = Units::of(graph);
-    let n_dev = topo.gpu_count() as u16;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ev = Evaluator::new(graph, topo, hw);
-
-    let mut genome: Vec<u16> = match start {
-        Some(p) => units.encode(p),
-        None => (0..units.len()).map(|_| rng.gen_range(0..n_dev)).collect(),
-    };
-    let mut cur_time = ev.eval(&units.decode(&genome, graph.op_count()));
-    let mut best_time = cur_time;
-    let mut best_genome = genome.clone();
-
-    for _ in 1..evals {
-        let u = rng.gen_range(0..units.len());
-        let old = genome[u];
-        let mut new = rng.gen_range(0..n_dev);
-        if new == old {
-            new = (new + 1) % n_dev.max(1);
-        }
-        genome[u] = new;
-        let t = ev.eval(&units.decode(&genome, graph.op_count()));
-        let accept = if t <= cur_time {
-            true
-        } else if cur_time.is_finite() && t.is_finite() {
-            let delta = (t - cur_time) / cur_time;
-            rng.gen::<f64>() < (-delta / temp).exp()
-        } else {
-            false
-        };
-        if accept {
-            cur_time = t;
-            if t < best_time {
-                best_time = t;
-                best_genome = genome.clone();
-            }
-        } else {
-            genome[u] = old;
-        }
-    }
-
-    SearchResult {
-        placement: units.decode(&best_genome, graph.op_count()),
-        best_time,
-        evals_used: ev.evals,
-    }
-}
-
-/// [`mcmc_search`] as a seeded [`Planner`](crate::planner::Planner). When
+/// Runs `evals` MCMC steps, proposing single-unit moves to a live GPU and
+/// accepting by the Metropolis rule at temperature `temp`. When
 /// `start_from_current` is set and the context carries a current plan over
 /// the *same* graph, the chain starts from that placement (FlexFlow's
-/// warm-started search); otherwise it starts from a seeded random point.
+/// warm-started search, which may keep a parameter server on the host);
+/// otherwise it starts from a seeded random point.
 #[derive(Debug, Clone, Copy)]
 pub struct McmcPlanner {
     /// MCMC steps (each one simulated evaluation).
@@ -99,17 +40,13 @@ impl Default for McmcPlanner {
     }
 }
 
-impl crate::planner::Planner for McmcPlanner {
+impl Planner for McmcPlanner {
     fn name(&self) -> &'static str {
         "mcmc"
     }
 
-    fn kind(&self) -> crate::planner::PlannerKind {
-        crate::planner::PlannerKind::Search
-    }
-
-    fn uses_cost_models(&self) -> bool {
-        false
+    fn kind(&self) -> PlannerKind {
+        PlannerKind::Search
     }
 
     fn cacheable(&self) -> bool {
@@ -119,33 +56,58 @@ impl crate::planner::Planner for McmcPlanner {
     }
 
     fn fingerprint_extra(&self) -> u64 {
-        crate::planner::hash_params(&[self.evals as u64, self.temp.to_bits(), self.seed])
+        hash_params(&[self.evals as u64, self.temp.to_bits(), self.seed])
     }
 
-    fn plan(
-        &self,
-        ctx: &mut crate::planner::PlanningContext<'_>,
-    ) -> Result<crate::Plan, crate::FastTError> {
-        let start = if self.start_from_current {
-            ctx.current
-                .filter(|c| c.graph.op_count() == ctx.graph.op_count())
-                .map(|c| &c.placement)
-        } else {
-            None
+    fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
+        let mut search = Search::new(ctx)?;
+        let n_dev = search.gpus as u16;
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let warm = ctx
+            .current
+            .filter(|c| self.start_from_current && c.graph.op_count() == ctx.graph.op_count());
+        let mut genome = match warm {
+            Some(c) => search.encode(&c.placement),
+            None => search.random_genome(&mut rng),
         };
-        let r = mcmc_search(
-            ctx.graph, ctx.topo, ctx.hw, start, self.evals, self.temp, self.seed,
-        );
-        ctx.evals_used += r.evals_used;
-        Ok(r.into_plan(ctx.graph))
+        let mut cur_time = search.eval(&genome);
+
+        for _ in 1..self.evals {
+            let u = rng.gen_range(0..genome.len());
+            let old = genome[u];
+            let mut new = rng.gen_range(0..n_dev);
+            if new == old {
+                new = (new + 1) % n_dev;
+            }
+            genome[u] = new;
+            let t = search.eval(&genome);
+            let accept = if t <= cur_time {
+                true
+            } else if cur_time.is_finite() && t.is_finite() {
+                let delta = (t - cur_time) / cur_time;
+                rng.gen::<f64>() < (-delta / self.temp).exp()
+            } else {
+                false
+            };
+            if accept {
+                cur_time = t;
+            } else {
+                genome[u] = old;
+            }
+        }
+        Ok(search.finish(ctx))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{fifo_time, plan_on};
     use super::*;
-    use fastt_cluster::DeviceId;
-    use fastt_graph::{OpKind, Operation};
+    use crate::strategy::Plan;
+    use fastt_cluster::{DeviceId, Topology};
+    use fastt_cost::CostModels;
+    use fastt_graph::{Graph, OpKind, Operation};
+    use fastt_sim::{HardwarePerf, Placement};
 
     #[test]
     fn improves_from_a_bad_start() {
@@ -157,13 +119,25 @@ mod tests {
         let topo = Topology::single_server(4);
         let hw = HardwarePerf::new();
         let all_on_zero = Placement::uniform(4, DeviceId(0));
-        let r = mcmc_search(&g, &topo, &hw, Some(&all_on_zero), 60, 0.05, 9);
-        let mut ev = super::super::Evaluator::new(&g, &topo, &hw);
-        let start_time = ev.eval(&all_on_zero);
+        let start = Plan {
+            graph: g.clone(),
+            splits: Vec::new(),
+            placement: all_on_zero.clone(),
+            order: None,
+            est_finish: f64::NAN,
+        };
+        let planner = McmcPlanner {
+            evals: 60,
+            temp: 0.05,
+            seed: 9,
+            start_from_current: true,
+        };
+        let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new()).with_current(&start);
+        let best = planner.plan(&mut ctx).unwrap().est_finish;
+        let start_time = fifo_time(&g, &topo, &hw, &all_on_zero);
         assert!(
-            r.best_time < start_time,
-            "mcmc {} should beat serial {start_time}",
-            r.best_time
+            best < start_time,
+            "mcmc {best} should beat serial {start_time}"
         );
     }
 
@@ -179,7 +153,13 @@ mod tests {
         g.connect(v, u).unwrap();
         g.colocate(&[v, u]);
         let topo = Topology::single_server(4);
-        let r = mcmc_search(&g, &topo, &HardwarePerf::new(), None, 20, 0.1, 5);
-        r.placement.validate(&g, &topo).unwrap();
+        let planner = McmcPlanner {
+            evals: 20,
+            temp: 0.1,
+            seed: 5,
+            start_from_current: false,
+        };
+        let (plan, _) = plan_on(&planner, &g, &topo);
+        plan.placement.validate(&g, &topo).unwrap();
     }
 }

@@ -1,23 +1,26 @@
 //! White-box re-implementations of the *essence* of the approaches FastT is
 //! compared against in the paper's Fig. 3 — all driven by the same simulated
 //! cluster, which makes the comparison honest (the paper itself compares
-//! against numbers copied from the other systems' papers):
+//! against numbers copied from the other systems' papers). Each is a
+//! [`Planner`](crate::planner::Planner):
 //!
-//! * [`reinforce_search`] — REINFORCE \[32\]: a softmax placement policy
+//! * [`ReinforcePlanner`] — REINFORCE \[32\]: a softmax placement policy
 //!   updated by policy gradients over measured runtimes;
-//! * [`cem_search`] — Post \[18\]: cross-entropy minimization over placement
+//! * [`CemPlanner`] — Post \[18\]: cross-entropy minimization over placement
 //!   distributions;
-//! * [`mcmc_search`] — FlexFlow \[27\]: Metropolis–Hastings search over
+//! * [`McmcPlanner`] — FlexFlow \[27\]: Metropolis–Hastings search over
 //!   placements (run it on the replicated graph to give it FlexFlow's larger
 //!   solution space);
-//! * [`gdp_place`] — GDP \[48\]: a one-shot rank-ordered min-EFT placement
+//! * [`GdpPlanner`] — GDP \[48\]: a one-shot rank-ordered min-EFT placement
 //!   without operation splitting or order enforcement;
-//! * [`random_search`] — the sanity-check baseline.
+//! * [`RandomPlanner`] — the sanity-check baseline.
 //!
 //! The black-box methods *execute* candidate placements to obtain rewards
 //! (here: one simulated iteration per candidate), which is exactly why they
 //! need orders of magnitude more compute than FastT's white-box heuristics —
-//! the paper's core argument. [`SearchResult::evals_used`] exposes that cost.
+//! the paper's core argument. Each adds its evaluations to
+//! [`PlanningContext::evals_used`] and reports its best simulated time as
+//! the plan's `est_finish`.
 
 mod cem;
 mod gdp;
@@ -25,139 +28,188 @@ mod mcmc;
 mod random;
 mod reinforce;
 
-pub use cem::{cem_search, CemPlanner};
-pub use gdp::{gdp_place, GdpPlanner};
-pub use mcmc::{mcmc_search, McmcPlanner};
-pub use random::{random_search, RandomPlanner};
-pub use reinforce::{reinforce_search, ReinforcePlanner};
+pub use cem::CemPlanner;
+pub use gdp::GdpPlanner;
+pub use mcmc::McmcPlanner;
+pub use random::RandomPlanner;
+pub use reinforce::ReinforcePlanner;
 
+use crate::error::FastTError;
+use crate::planner::PlanningContext;
 use crate::strategy::Plan;
 use fastt_cluster::{DeviceId, Topology};
 use fastt_graph::{Graph, OpId};
 use fastt_sim::{simulate, ExecPolicy, HardwarePerf, Placement, SimConfig};
+use rand::rngs::StdRng;
+use rand::Rng;
 
-/// Outcome of a placement search.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// The best placement found.
-    pub placement: Placement,
-    /// Its simulated per-iteration time.
-    pub best_time: f64,
-    /// Number of full (simulated) training iterations the search consumed —
-    /// the resource cost the paper contrasts with FastT's minutes.
-    pub evals_used: u32,
-}
-
-impl SearchResult {
-    /// Wraps the found placement as a [`Plan`] over `graph` (no splits, no
-    /// enforced order — the searchers place, they do not sequence), with
-    /// the searched simulated time as the estimate.
-    pub fn into_plan(self, graph: &Graph) -> Plan {
-        Plan {
-            graph: graph.clone(),
-            splits: Vec::new(),
-            placement: self.placement,
-            order: None,
-            est_finish: self.best_time,
-        }
+/// Simulated FIFO iteration time of a placement (`f64::INFINITY` on OOM or
+/// other failures, so searchers steer away from infeasible points).
+fn fifo_time(graph: &Graph, topo: &Topology, hw: &HardwarePerf, p: &Placement) -> f64 {
+    match simulate(graph, topo, p, hw, ExecPolicy::Fifo, &SimConfig::default()) {
+        Ok(t) => t.makespan,
+        Err(_) => f64::INFINITY,
     }
 }
 
-/// Movable placement units: colocation groups move as one, everything else
-/// individually. All searchers operate on unit genomes so they can never
-/// produce an invalid placement.
-pub(crate) struct Units {
-    /// Each unit's member ops.
-    pub members: Vec<Vec<OpId>>,
+/// A searched placement as a [`Plan`]: no splits, no enforced order (the
+/// searchers place, they do not sequence), its simulated time as estimate.
+fn placement_plan(graph: &Graph, placement: Placement, est_finish: f64) -> Plan {
+    Plan {
+        graph: graph.clone(),
+        splits: Vec::new(),
+        placement,
+        order: None,
+        est_finish,
+    }
 }
 
-impl Units {
-    pub(crate) fn of(graph: &Graph) -> Units {
-        let mut members: Vec<Vec<OpId>> = Vec::new();
+/// Draws an index from a categorical distribution.
+fn sample(probs: &[f64], rng: &mut StdRng) -> u16 {
+    let x: f64 = rng.gen();
+    let mut acc = 0.0;
+    for (i, &p) in probs.iter().enumerate() {
+        acc += p;
+        if x <= acc {
+            return i as u16;
+        }
+    }
+    (probs.len() - 1) as u16
+}
+
+/// The genome codec and evaluation loop the black-box searchers share.
+///
+/// A genome has one gene per movable unit — a colocation group moves as
+/// one, every other op alone — so no genome breaks colocation. Gene `g`
+/// places its unit on `targets[g]`: the live GPUs in id order, then any
+/// other device a warm-start placement uses, in id order. On a healthy
+/// topology gene = device id.
+struct Search<'a> {
+    graph: &'a Graph,
+    topo: &'a Topology,
+    hw: &'a HardwarePerf,
+    /// Each unit's member ops.
+    units: Vec<Vec<OpId>>,
+    targets: Vec<DeviceId>,
+    /// The first `gpus` targets are the live GPUs searchers draw from.
+    gpus: usize,
+    evals: u32,
+    /// The best genome so far: the first one evaluated, then any strictly
+    /// faster one.
+    best: Option<(Vec<u16>, f64)>,
+}
+
+impl<'a> Search<'a> {
+    /// Fails with [`FastTError::ClusterExhausted`] when no GPU is live.
+    fn new(ctx: &PlanningContext<'a>) -> Result<Self, FastTError> {
+        let graph = ctx.graph;
+        let targets: Vec<DeviceId> = ctx.topo.gpu_ids().collect();
+        if targets.is_empty() {
+            return Err(FastTError::ClusterExhausted);
+        }
+        let mut units: Vec<Vec<OpId>> = Vec::new();
         let mut seen = vec![false; graph.op_count()];
         for op in graph.op_ids() {
             if seen[op.index()] {
                 continue;
             }
-            match graph.colocation_group(op) {
-                Some(grp) => {
-                    for &m in grp {
-                        seen[m.index()] = true;
-                    }
-                    members.push(grp.to_vec());
-                }
-                None => {
-                    seen[op.index()] = true;
-                    members.push(vec![op]);
-                }
+            let members = graph
+                .colocation_group(op)
+                .map_or_else(|| vec![op], |g| g.to_vec());
+            for &m in &members {
+                seen[m.index()] = true;
             }
+            units.push(members);
         }
-        Units { members }
+        Ok(Search {
+            graph,
+            topo: ctx.topo,
+            hw: ctx.hw,
+            units,
+            gpus: targets.len(),
+            targets,
+            evals: 0,
+            best: None,
+        })
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.members.len()
+    /// A uniform genome over the live GPUs.
+    fn random_genome(&self, rng: &mut StdRng) -> Vec<u16> {
+        let n = self.gpus as u16;
+        (0..self.units.len()).map(|_| rng.gen_range(0..n)).collect()
     }
 
-    /// Expands a unit genome into a per-op placement.
-    pub(crate) fn decode(&self, genome: &[u16], n_ops: usize) -> Placement {
-        let mut p = Placement::uniform(n_ops, DeviceId(0));
-        for (u, ops) in self.members.iter().enumerate() {
+    /// Encodes a warm-start placement (a unit's first member decides),
+    /// first appending the devices it uses that are not targets yet.
+    fn encode(&mut self, p: &Placement) -> Vec<u16> {
+        let devices: Vec<DeviceId> = self.units.iter().map(|u| p.device_of(u[0])).collect();
+        let mut extra: Vec<DeviceId> = devices
+            .iter()
+            .copied()
+            .filter(|d| !self.targets.contains(d))
+            .collect();
+        extra.sort();
+        extra.dedup();
+        self.targets.extend(extra);
+        devices
+            .iter()
+            .map(|d| {
+                let g = self.targets.iter().position(|t| t == d);
+                g.expect("every device the placement uses is a target") as u16
+            })
+            .collect()
+    }
+
+    fn decode(&self, genome: &[u16]) -> Placement {
+        let mut p = Placement::uniform(self.graph.op_count(), self.targets[0]);
+        for (ops, &g) in self.units.iter().zip(genome) {
             for &o in ops {
-                p.set(o, DeviceId(genome[u]));
+                p.set(o, self.targets[g as usize]);
             }
         }
         p
     }
 
-    /// Compresses a placement into a unit genome (first member wins).
-    pub(crate) fn encode(&self, p: &Placement) -> Vec<u16> {
-        self.members
-            .iter()
-            .map(|ops| p.device_of(ops[0]).0)
-            .collect()
-    }
-}
-
-/// Shared evaluation harness: one simulated FIFO iteration per candidate.
-pub(crate) struct Evaluator<'a> {
-    pub graph: &'a Graph,
-    pub topo: &'a Topology,
-    pub hw: &'a HardwarePerf,
-    pub evals: u32,
-}
-
-impl<'a> Evaluator<'a> {
-    pub(crate) fn new(graph: &'a Graph, topo: &'a Topology, hw: &'a HardwarePerf) -> Self {
-        Evaluator {
-            graph,
-            topo,
-            hw,
-            evals: 0,
-        }
-    }
-
-    /// Simulated iteration time of a placement (`f64::INFINITY` on OOM or
-    /// other failures, so searchers steer away from infeasible points).
-    pub(crate) fn eval(&mut self, p: &Placement) -> f64 {
+    /// Simulates one iteration of the genome's placement, counting it and
+    /// keeping the best genome.
+    fn eval(&mut self, genome: &[u16]) -> f64 {
         self.evals += 1;
-        match simulate(
-            self.graph,
-            self.topo,
-            p,
-            self.hw,
-            ExecPolicy::Fifo,
-            &SimConfig::default(),
-        ) {
-            Ok(t) => t.makespan,
-            Err(_) => f64::INFINITY,
+        let t = fifo_time(self.graph, self.topo, self.hw, &self.decode(genome));
+        if self.best.as_ref().is_none_or(|b| t < b.1) {
+            self.best = Some((genome.to_vec(), t));
         }
+        t
     }
+
+    /// The best placement as a plan; its evaluations go into the context.
+    fn finish(self, ctx: &mut PlanningContext<'_>) -> Plan {
+        ctx.evals_used += self.evals;
+        // no evaluation at all: everything on the first live GPU
+        let (genome, t) = self
+            .best
+            .as_ref()
+            .map_or((&[][..], f64::INFINITY), |(g, t)| (g.as_slice(), *t));
+        placement_plan(self.graph, self.decode(genome), t)
+    }
+}
+
+#[cfg(test)]
+/// Runs `planner` on a fresh context: its plan and its evaluation count.
+pub(crate) fn plan_on(
+    planner: &dyn crate::planner::Planner,
+    graph: &Graph,
+    topo: &Topology,
+) -> (Plan, u32) {
+    let hw = HardwarePerf::new();
+    let mut ctx = PlanningContext::new(graph, topo, &hw, fastt_cost::CostModels::new());
+    let plan = planner.plan(&mut ctx).unwrap();
+    (plan, ctx.evals_used)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastt_cost::CostModels;
     use fastt_graph::{OpKind, Operation};
 
     #[test]
@@ -173,12 +225,36 @@ mod tests {
         g.connect(a, b).unwrap();
         g.connect(a, c).unwrap();
         g.colocate(&[a, b]);
-        let u = Units::of(&g);
-        assert_eq!(u.len(), 2);
-        let p = u.decode(&[1, 0], 3);
+        let topo = Topology::single_server(2);
+        let hw = HardwarePerf::new();
+        let ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
+        let mut s = Search::new(&ctx).unwrap();
+        assert_eq!(s.units.len(), 2);
+        let p = s.decode(&[1, 0]);
         assert_eq!(p.device_of(a), p.device_of(b));
         assert_eq!(p.device_of(c), DeviceId(0));
-        assert_eq!(u.encode(&p), vec![1, 0]);
+        assert_eq!(s.encode(&p), vec![1, 0]);
+    }
+
+    #[test]
+    fn genes_skip_dead_gpus_and_extend_to_warm_start_devices() {
+        let mut g = Graph::new();
+        for i in 0..3 {
+            g.add_op(Operation::new(format!("o{i}"), OpKind::Relu, [1]))
+                .unwrap();
+        }
+        let mut topo = Topology::single_server(3);
+        topo.fail_device(DeviceId(1));
+        let host = DeviceId(3);
+        assert!(topo.is_host(host));
+        let hw = HardwarePerf::new();
+        let ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
+        let mut s = Search::new(&ctx).unwrap();
+        assert_eq!(s.targets, [DeviceId(0), DeviceId(2)]);
+        let warm = Placement::new(vec![host, DeviceId(2), DeviceId(0)]);
+        assert_eq!(s.encode(&warm), vec![2, 1, 0]);
+        assert_eq!(s.decode(&[2, 1, 0]), warm);
+        assert_eq!(s.gpus, 2, "searchers draw only live GPUs");
     }
 
     #[test]
@@ -188,9 +264,12 @@ mod tests {
             .unwrap();
         let topo = Topology::single_server(1);
         let hw = HardwarePerf::new();
-        let mut ev = Evaluator::new(&g, &topo, &hw);
-        let t = ev.eval(&Placement::uniform(1, DeviceId(0)));
-        assert!(t.is_infinite());
-        assert_eq!(ev.evals, 1);
+        let mut ctx = PlanningContext::new(&g, &topo, &hw, CostModels::new());
+        let mut s = Search::new(&ctx).unwrap();
+        assert!(s.eval(&[0]).is_infinite());
+        assert_eq!(s.evals, 1);
+        let plan = s.finish(&mut ctx);
+        assert!(plan.est_finish.is_infinite());
+        assert_eq!(ctx.evals_used, 1);
     }
 }

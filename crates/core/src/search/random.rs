@@ -1,48 +1,17 @@
 //! Uniform random placement search — the sanity-check baseline every
 //! learned method must beat.
 
-use super::{Evaluator, SearchResult, Units};
-use fastt_cluster::Topology;
-use fastt_graph::Graph;
-use fastt_sim::HardwarePerf;
+use super::Search;
+use crate::planner::{hash_params, Planner, PlannerKind, PlanningContext};
+use crate::{FastTError, Plan};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// Samples `evals` uniform placements and keeps the best.
-pub fn random_search(
-    graph: &Graph,
-    topo: &Topology,
-    hw: &HardwarePerf,
-    evals: u32,
-    seed: u64,
-) -> SearchResult {
-    let units = Units::of(graph);
-    let n_dev = topo.gpu_count() as u16;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ev = Evaluator::new(graph, topo, hw);
-
-    let mut best_genome: Vec<u16> = (0..units.len()).map(|_| rng.gen_range(0..n_dev)).collect();
-    let mut best_time = ev.eval(&units.decode(&best_genome, graph.op_count()));
-    for _ in 1..evals {
-        let genome: Vec<u16> = (0..units.len()).map(|_| rng.gen_range(0..n_dev)).collect();
-        let t = ev.eval(&units.decode(&genome, graph.op_count()));
-        if t < best_time {
-            best_time = t;
-            best_genome = genome;
-        }
-    }
-    SearchResult {
-        placement: units.decode(&best_genome, graph.op_count()),
-        best_time,
-        evals_used: ev.evals,
-    }
-}
-
-/// [`random_search`] as a seeded [`Planner`](crate::planner::Planner) — the
-/// sanity-check baseline.
+/// Samples `evals` uniform placements over the live GPUs and keeps the
+/// best.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomPlanner {
-    /// Random placements to evaluate.
+    /// Random placements to evaluate (at least one is).
     pub evals: u32,
     /// RNG seed — explicit, so same-seed runs are bit-identical.
     pub seed: u64,
@@ -57,37 +26,36 @@ impl Default for RandomPlanner {
     }
 }
 
-impl crate::planner::Planner for RandomPlanner {
+impl Planner for RandomPlanner {
     fn name(&self) -> &'static str {
         "random"
     }
 
-    fn kind(&self) -> crate::planner::PlannerKind {
-        crate::planner::PlannerKind::Search
-    }
-
-    fn uses_cost_models(&self) -> bool {
-        false
+    fn kind(&self) -> PlannerKind {
+        PlannerKind::Search
     }
 
     fn fingerprint_extra(&self) -> u64 {
-        crate::planner::hash_params(&[self.evals as u64, self.seed])
+        hash_params(&[self.evals as u64, self.seed])
     }
 
-    fn plan(
-        &self,
-        ctx: &mut crate::planner::PlanningContext<'_>,
-    ) -> Result<crate::Plan, crate::FastTError> {
-        let r = random_search(ctx.graph, ctx.topo, ctx.hw, self.evals, self.seed);
-        ctx.evals_used += r.evals_used;
-        Ok(r.into_plan(ctx.graph))
+    fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
+        let mut search = Search::new(ctx)?;
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        for _ in 0..self.evals.max(1) {
+            let genome = search.random_genome(&mut rng);
+            search.eval(&genome);
+        }
+        Ok(search.finish(ctx))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::plan_on;
     use super::*;
-    use fastt_graph::{OpKind, Operation};
+    use fastt_cluster::Topology;
+    use fastt_graph::{Graph, OpKind, Operation};
 
     #[test]
     fn finds_a_finite_placement() {
@@ -96,10 +64,10 @@ mod tests {
         let b = g.add_op(Operation::new("b", OpKind::Relu, [64])).unwrap();
         g.connect(a, b).unwrap();
         let topo = Topology::single_server(2);
-        let r = random_search(&g, &topo, &HardwarePerf::new(), 8, 42);
-        assert!(r.best_time.is_finite());
-        assert_eq!(r.evals_used, 8);
-        r.placement.validate(&g, &topo).unwrap();
+        let (plan, evals) = plan_on(&RandomPlanner { evals: 8, seed: 42 }, &g, &topo);
+        assert!(plan.est_finish.is_finite());
+        assert_eq!(evals, 8);
+        plan.placement.validate(&g, &topo).unwrap();
     }
 
     #[test]
@@ -110,9 +78,9 @@ mod tests {
                 .unwrap();
         }
         let topo = Topology::single_server(4);
-        let hw = HardwarePerf::new();
-        let a = random_search(&g, &topo, &hw, 5, 1);
-        let b = random_search(&g, &topo, &hw, 5, 1);
+        let planner = RandomPlanner { evals: 5, seed: 1 };
+        let (a, _) = plan_on(&planner, &g, &topo);
+        let (b, _) = plan_on(&planner, &g, &topo);
         assert_eq!(a.placement, b.placement);
     }
 }

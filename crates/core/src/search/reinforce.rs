@@ -4,12 +4,11 @@
 //! training iteration — the expensive black-box loop the paper contrasts
 //! FastT's white-box heuristics against.
 
-use super::{Evaluator, SearchResult, Units};
-use fastt_cluster::Topology;
-use fastt_graph::Graph;
-use fastt_sim::HardwarePerf;
+use super::{sample, Search};
+use crate::planner::{hash_params, Planner, PlannerKind, PlanningContext};
+use crate::{FastTError, Plan};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn softmax(logits: &[f64]) -> Vec<f64> {
     let m = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -18,87 +17,8 @@ fn softmax(logits: &[f64]) -> Vec<f64> {
     exps.iter().map(|e| e / z).collect()
 }
 
-fn sample(probs: &[f64], rng: &mut StdRng) -> usize {
-    let x: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &p) in probs.iter().enumerate() {
-        acc += p;
-        if x <= acc {
-            return i;
-        }
-    }
-    probs.len() - 1
-}
-
 /// Runs `rounds` policy-gradient rounds with `batch` sampled placements per
-/// round (total budget ≈ `rounds · batch` simulated iterations).
-pub fn reinforce_search(
-    graph: &Graph,
-    topo: &Topology,
-    hw: &HardwarePerf,
-    rounds: u32,
-    batch: u32,
-    seed: u64,
-) -> SearchResult {
-    let units = Units::of(graph);
-    let n_dev = topo.gpu_count();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ev = Evaluator::new(graph, topo, hw);
-    let lr = 0.5;
-
-    let mut logits = vec![vec![0.0f64; n_dev]; units.len()];
-    let mut best_time = f64::INFINITY;
-    let mut best_genome: Vec<u16> = vec![0; units.len()];
-
-    for _ in 0..rounds {
-        let mut samples: Vec<(Vec<u16>, f64)> = Vec::with_capacity(batch as usize);
-        for _ in 0..batch {
-            let genome: Vec<u16> = logits
-                .iter()
-                .map(|l| sample(&softmax(l), &mut rng) as u16)
-                .collect();
-            let t = ev.eval(&units.decode(&genome, graph.op_count()));
-            if t < best_time {
-                best_time = t;
-                best_genome = genome.clone();
-            }
-            samples.push((genome, t));
-        }
-        // baseline: mean finite runtime (infeasible samples get a fixed
-        // large penalty so their gradient pushes probability away)
-        let finite: Vec<f64> = samples
-            .iter()
-            .map(|s| s.1)
-            .filter(|t| t.is_finite())
-            .collect();
-        let baseline = if finite.is_empty() {
-            1.0
-        } else {
-            finite.iter().sum::<f64>() / finite.len() as f64
-        };
-        let penalty = baseline * 4.0;
-        for (genome, t) in &samples {
-            let r = if t.is_finite() { *t } else { penalty };
-            // advantage of low runtime is positive
-            let adv = (baseline - r) / baseline.max(1e-12);
-            for (u, &d) in genome.iter().enumerate() {
-                let probs = softmax(&logits[u]);
-                for (k, item) in logits[u].iter_mut().enumerate() {
-                    let indicator = if k == d as usize { 1.0 } else { 0.0 };
-                    *item += lr * adv * (indicator - probs[k]) / batch as f64;
-                }
-            }
-        }
-    }
-
-    SearchResult {
-        placement: units.decode(&best_genome, graph.op_count()),
-        best_time,
-        evals_used: ev.evals,
-    }
-}
-
-/// [`reinforce_search`] as a seeded [`Planner`](crate::planner::Planner).
+/// round (total budget `rounds · batch` simulated iterations).
 #[derive(Debug, Clone, Copy)]
 pub struct ReinforcePlanner {
     /// Policy-gradient rounds.
@@ -119,44 +39,71 @@ impl Default for ReinforcePlanner {
     }
 }
 
-impl crate::planner::Planner for ReinforcePlanner {
+impl Planner for ReinforcePlanner {
     fn name(&self) -> &'static str {
         "reinforce"
     }
 
-    fn kind(&self) -> crate::planner::PlannerKind {
-        crate::planner::PlannerKind::Search
-    }
-
-    fn uses_cost_models(&self) -> bool {
-        false
+    fn kind(&self) -> PlannerKind {
+        PlannerKind::Search
     }
 
     fn fingerprint_extra(&self) -> u64 {
-        crate::planner::hash_params(&[self.rounds as u64, self.batch as u64, self.seed])
+        hash_params(&[self.rounds as u64, self.batch as u64, self.seed])
     }
 
-    fn plan(
-        &self,
-        ctx: &mut crate::planner::PlanningContext<'_>,
-    ) -> Result<crate::Plan, crate::FastTError> {
-        let r = reinforce_search(
-            ctx.graph,
-            ctx.topo,
-            ctx.hw,
-            self.rounds,
-            self.batch,
-            self.seed,
-        );
-        ctx.evals_used += r.evals_used;
-        Ok(r.into_plan(ctx.graph))
+    fn plan(&self, ctx: &mut PlanningContext<'_>) -> Result<Plan, FastTError> {
+        let mut search = Search::new(ctx)?;
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let lr = 0.5;
+
+        let mut logits = vec![vec![0.0f64; search.gpus]; search.units.len()];
+        for _ in 0..self.rounds {
+            let mut samples: Vec<(Vec<u16>, f64)> = Vec::with_capacity(self.batch as usize);
+            for _ in 0..self.batch {
+                let genome: Vec<u16> = logits
+                    .iter()
+                    .map(|l| sample(&softmax(l), &mut rng))
+                    .collect();
+                let t = search.eval(&genome);
+                samples.push((genome, t));
+            }
+            // baseline: mean finite runtime (infeasible samples get a fixed
+            // large penalty so their gradient pushes probability away)
+            let finite: Vec<f64> = samples
+                .iter()
+                .map(|s| s.1)
+                .filter(|t| t.is_finite())
+                .collect();
+            let baseline = if finite.is_empty() {
+                1.0
+            } else {
+                finite.iter().sum::<f64>() / finite.len() as f64
+            };
+            let penalty = baseline * 4.0;
+            for (genome, t) in &samples {
+                let r = if t.is_finite() { *t } else { penalty };
+                // advantage of low runtime is positive
+                let adv = (baseline - r) / baseline.max(1e-12);
+                for (u, &d) in genome.iter().enumerate() {
+                    let probs = softmax(&logits[u]);
+                    for (k, item) in logits[u].iter_mut().enumerate() {
+                        let indicator = if k == d as usize { 1.0 } else { 0.0 };
+                        *item += lr * adv * (indicator - probs[k]) / self.batch as f64;
+                    }
+                }
+            }
+        }
+        Ok(search.finish(ctx))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::plan_on;
     use super::*;
-    use fastt_graph::{OpKind, Operation};
+    use fastt_cluster::Topology;
+    use fastt_graph::{Graph, OpKind, Operation};
 
     #[test]
     fn softmax_normalizes() {
@@ -181,11 +128,16 @@ mod tests {
             g.connect(a, b).unwrap();
         }
         let topo = Topology::single_server(2);
-        let r = reinforce_search(&g, &topo, &HardwarePerf::new(), 8, 8, 3);
-        assert!(r.best_time.is_finite());
+        let planner = ReinforcePlanner {
+            rounds: 8,
+            batch: 8,
+            seed: 3,
+        };
+        let (plan, _) = plan_on(&planner, &g, &topo);
+        assert!(plan.est_finish.is_finite());
         // the two chains should end up on different devices
-        let d0 = r.placement.device_of(fastt_graph::OpId(0));
-        let d2 = r.placement.device_of(fastt_graph::OpId(2));
+        let d0 = plan.placement.device_of(fastt_graph::OpId(0));
+        let d2 = plan.placement.device_of(fastt_graph::OpId(2));
         assert_ne!(d0, d2, "chains should be parallelized");
     }
 }

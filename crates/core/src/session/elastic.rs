@@ -208,17 +208,15 @@ impl TrainingSession {
         let grown = self.alloc.topo().device_count();
         self.alloc.health_mut().grow(grown);
         self.cost.bind_topology(self.alloc.topo());
-        if let Some(col) = &self.collector {
-            col.metrics().inc("session.scale_ups");
-        }
         for d in new_ids {
-            if !self.alloc.topo().is_host(d) {
-                self.alloc.grant(d);
-            }
+            self.alloc.grant(d);
             self.recovery_log.push(RecoveryEvent::Restored {
                 device: d,
                 iteration,
             });
+            if let Some(col) = &self.collector {
+                col.metrics().inc("session.scale_ups");
+            }
             self.emit(
                 "session.scaled_up",
                 jobj! {

@@ -7,7 +7,8 @@
 //! cargo run --release --example compare_strategies
 //! ```
 
-use fastt::search::{cem_search, gdp_place, mcmc_search};
+use fastt::planner::{Planner, PlanningContext};
+use fastt::search::{CemPlanner, GdpPlanner, McmcPlanner};
 use fastt::{data_parallel_plan, model_parallel_plan, SessionConfig, TrainingSession};
 use fastt_cluster::Topology;
 use fastt_cost::CostModels;
@@ -63,21 +64,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cost.update_from_trace(&whole, &t);
         }
     }
-    let gdp = gdp_place(&whole, &topo, &cost, &hw);
-    report("GDP-style (white box)", gdp.best_time, gdp.evals_used);
+    let mut ctx = PlanningContext::new(&whole, &topo, &hw, cost);
+    let gdp = GdpPlanner.plan(&mut ctx)?;
+    report("GDP-style (white box)", gdp.est_finish, ctx.evals_used);
 
     // Black-box searches over the whole-batch graph (model parallelism
     // only — their published solution space).
-    let post = cem_search(&whole, &topo, &hw, 10, 10, 0.25, 7);
+    let mut ctx = PlanningContext::new(&whole, &topo, &hw, CostModels::new());
+    let post = CemPlanner {
+        rounds: 10,
+        pop: 10,
+        elite_frac: 0.25,
+        seed: 7,
+    }
+    .plan(&mut ctx)?;
     report(
         "Post-style (cross entropy)",
-        post.best_time,
-        post.evals_used,
+        post.est_finish,
+        ctx.evals_used,
     );
 
     // FlexFlow-style MCMC over the *replicated* graph, seeded from DP.
-    let ff = mcmc_search(&rep.graph, &topo, &hw, Some(&dp.placement), 300, 0.03, 9);
-    report("FlexFlow-style (MCMC)", ff.best_time, ff.evals_used);
+    let mut ctx = PlanningContext::new(&rep.graph, &topo, &hw, CostModels::new()).with_current(&dp);
+    let ff = McmcPlanner {
+        evals: 300,
+        temp: 0.03,
+        seed: 9,
+        start_from_current: true,
+    }
+    .plan(&mut ctx)?;
+    report("FlexFlow-style (MCMC)", ff.est_finish, ctx.evals_used);
 
     // FastT.
     let mut session = TrainingSession::new(&replica, topo.clone(), hw, SessionConfig::default())?;

@@ -260,7 +260,7 @@ fn churn_trajectories_are_seeded() {
 #[test]
 fn seeded_churn_completes_and_replans_on_scale_up() {
     use fastt_sim::CommPlan;
-    use fastt_telemetry::{Collector, MemorySink};
+    use fastt_telemetry::{Collector, MemorySink, MetricValue};
 
     let sink = Arc::new(MemorySink::new(1 << 20));
     let collector = Arc::new(Collector::new().with_sink(sink.clone()));
@@ -271,7 +271,7 @@ fn seeded_churn_completes_and_replans_on_scale_up() {
     let g = Model::LeNet.training_graph(64);
     let topo = Topology::multi_server(2, 2);
     let mut s = TrainingSession::new(&g, topo, HardwarePerf::new(), config).unwrap();
-    s.attach_collector(collector);
+    s.attach_collector(collector.clone());
     s.pre_train().expect("pre-training under churn");
     s.train_normal(60, 5).expect("training under churn");
 
@@ -286,6 +286,12 @@ fn seeded_churn_completes_and_replans_on_scale_up() {
     // the capacity timeline is non-empty: capacity shrank and grew back
     assert!(count("session.replan") > 0, "capacity never shrank");
     assert!(count("session.scaled_up") > 0, "capacity never grew back");
+    // one `session.scale_ups` tick per `session.scaled_up` event
+    let scale_ups = match collector.metrics().get("session.scale_ups") {
+        Some(MetricValue::Counter(c)) => c as usize,
+        other => panic!("session.scale_ups is not a counter: {other:?}"),
+    };
+    assert_eq!(scale_ups, count("session.scaled_up"));
     // every promoted or held decision is a re-plan over the grown cluster
     let scale_up_replans = count("session.promoted") + count("session.promotion_held");
     assert!(

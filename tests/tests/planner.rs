@@ -4,10 +4,7 @@
 //! determinism, and the traced no-split candidate path.
 
 use fastt::planner::{Planner, PlannerKind, PlanningContext};
-use fastt::search::{
-    cem_search, gdp_place, mcmc_search, random_search, reinforce_search, CemPlanner, McmcPlanner,
-    RandomPlanner,
-};
+use fastt::search::{CemPlanner, GdpPlanner, McmcPlanner, RandomPlanner, ReinforcePlanner};
 use fastt::{
     bootstrap_cost_models, ranked, CandidateOutcome, DposPlanner, FastTError, Plan, PlanCache,
     Portfolio, PortfolioInputs, SessionConfig, TrainingSession,
@@ -204,20 +201,38 @@ fn every_search_baseline_is_deterministic_for_the_same_seed() {
     let hw = HardwarePerf::new();
     let cost = bootstrap_cost_models(&graph, &topo, &hw);
 
-    let runs = |i: u32| {
-        let _ = i;
-        [
-            random_search(&graph, &topo, &hw, 16, 3),
-            mcmc_search(&graph, &topo, &hw, None, 40, 0.05, 9),
-            cem_search(&graph, &topo, &hw, 3, 6, 0.3, 11),
-            reinforce_search(&graph, &topo, &hw, 3, 4, 7),
-            gdp_place(&graph, &topo, &cost, &hw),
-        ]
+    let planners: [Box<dyn Planner>; 5] = [
+        Box::new(RandomPlanner { evals: 16, seed: 3 }),
+        Box::new(McmcPlanner {
+            evals: 40,
+            temp: 0.05,
+            seed: 9,
+            start_from_current: false,
+        }),
+        Box::new(CemPlanner {
+            rounds: 3,
+            pop: 6,
+            elite_frac: 0.3,
+            seed: 11,
+        }),
+        Box::new(ReinforcePlanner {
+            rounds: 3,
+            batch: 4,
+            seed: 7,
+        }),
+        Box::new(GdpPlanner),
+    ];
+    let run = |planner: &dyn Planner| {
+        let mut ctx = PlanningContext::new(&graph, &topo, &hw, cost.clone());
+        let plan = planner.plan(&mut ctx).unwrap();
+        (plan, ctx.evals_used)
     };
-    for (a, b) in runs(0).iter().zip(runs(1).iter()) {
+    for planner in &planners {
+        let (a, a_evals) = run(planner.as_ref());
+        let (b, b_evals) = run(planner.as_ref());
         assert_eq!(a.placement, b.placement);
-        assert_eq!(a.evals_used, b.evals_used);
-        assert!(a.best_time == b.best_time || (a.best_time.is_nan() && b.best_time.is_nan()));
+        assert_eq!(a_evals, b_evals);
+        assert!(a.est_finish == b.est_finish || (a.est_finish.is_nan() && b.est_finish.is_nan()));
     }
 }
 

@@ -2,7 +2,8 @@
 //! splits, and the comparator searchers — all validated end-to-end against
 //! the simulator.
 
-use fastt::search::{cem_search, gdp_place, mcmc_search, random_search, reinforce_search};
+use fastt::planner::{Planner, PlanningContext};
+use fastt::search::{CemPlanner, GdpPlanner, McmcPlanner, RandomPlanner, ReinforcePlanner};
 use fastt::{data_parallel_plan, dpos, model_parallel_plan, os_dpos, OsDposOptions};
 use fastt_cluster::{DeviceId, Topology};
 use fastt_cost::CostModels;
@@ -27,9 +28,10 @@ fn profiled_costs(graph: &fastt_graph::Graph, topo: &Topology) -> CostModels {
         }
     }
     // round-robin run to seed communication costs
-    let mut p = Placement::uniform(graph.op_count(), DeviceId(0));
+    let gpus: Vec<DeviceId> = topo.gpu_ids().collect();
+    let mut p = Placement::uniform(graph.op_count(), gpus[0]);
     for (i, op) in graph.op_ids().enumerate() {
-        p.set(op, DeviceId((i % topo.gpu_count()) as u16));
+        p.set(op, gpus[i % gpus.len()]);
     }
     if let Ok(tr) = simulate(
         graph,
@@ -156,36 +158,64 @@ fn os_dpos_split_list_is_replayable() {
     plan.placement.validate(&plan.graph, &topo).unwrap();
 }
 
+/// Every searcher plans a valid, finite, GPU-only placement — on a healthy
+/// server, after a GPU failure (the searchers must skip the dead GPU) and
+/// after a hot-added server whose GPU ids sit after the hosts.
 #[test]
 fn all_searchers_return_valid_executable_placements() {
     let graph = Model::LeNet.training_graph(16);
-    let topo = Topology::single_server(2);
     let hw = HardwarePerf::new();
-    let cost = profiled_costs(&graph, &topo);
+    let mut degraded = Topology::single_server(4);
+    degraded.fail_device(DeviceId(1));
+    let mut grown = Topology::multi_server(2, 2);
+    grown.add_server(2);
 
-    let results = [
-        ("random", random_search(&graph, &topo, &hw, 6, 1)),
-        ("reinforce", reinforce_search(&graph, &topo, &hw, 3, 4, 2)),
-        ("cem", cem_search(&graph, &topo, &hw, 3, 4, 0.5, 3)),
-        ("mcmc", mcmc_search(&graph, &topo, &hw, None, 10, 0.1, 4)),
-        ("gdp", gdp_place(&graph, &topo, &cost, &hw)),
-    ];
-    for (name, r) in results {
-        r.placement
-            .validate(&graph, &topo)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            r.best_time.is_finite(),
-            "{name} found no feasible placement"
-        );
-        assert!(r.evals_used >= 1, "{name} reported no evaluations");
-        // no searcher may use the CPU host as a compute device
-        for (op, d) in r.placement.iter() {
+    for topo in [Topology::single_server(2), degraded, grown] {
+        let cost = profiled_costs(&graph, &topo);
+        let planners: [Box<dyn Planner>; 5] = [
+            Box::new(RandomPlanner { evals: 6, seed: 1 }),
+            Box::new(ReinforcePlanner {
+                rounds: 3,
+                batch: 4,
+                seed: 2,
+            }),
+            Box::new(CemPlanner {
+                rounds: 3,
+                pop: 4,
+                elite_frac: 0.5,
+                seed: 3,
+            }),
+            Box::new(McmcPlanner {
+                evals: 10,
+                temp: 0.1,
+                seed: 4,
+                start_from_current: false,
+            }),
+            Box::new(GdpPlanner),
+        ];
+        for planner in planners {
+            let name = planner.name();
+            let mut ctx = PlanningContext::new(&graph, &topo, &hw, cost.clone());
+            let plan = planner
+                .plan(&mut ctx)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            plan.placement
+                .validate(&graph, &topo)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(
-                !topo.is_host(d),
-                "{name} placed `{}` on the host",
-                graph.op_ref(op).name
+                plan.est_finish.is_finite(),
+                "{name} found no feasible placement on {} GPUs",
+                topo.gpu_count()
             );
+            assert!(ctx.evals_used >= 1, "{name} reported no evaluations");
+            // no searcher may use the CPU host as a compute device
+            for (op, d) in plan.placement.iter() {
+                assert!(
+                    !topo.is_host(d),
+                    "{name} placed `{}` on the host",
+                    graph.op_ref(op).name
+                );
+            }
         }
     }
 }
@@ -199,10 +229,23 @@ fn white_box_methods_use_fewer_evaluations() {
     let topo = Topology::single_server(2);
     let hw = HardwarePerf::new();
     let cost = profiled_costs(&graph, &topo);
-    let gdp = gdp_place(&graph, &topo, &cost, &hw);
-    let post = cem_search(&graph, &topo, &hw, 5, 8, 0.25, 5);
-    let rl = reinforce_search(&graph, &topo, &hw, 5, 8, 6);
-    assert_eq!(gdp.evals_used, 1);
-    assert!(post.evals_used >= 40);
-    assert!(rl.evals_used >= 40);
+    let evals = |planner: &dyn Planner| {
+        let mut ctx = PlanningContext::new(&graph, &topo, &hw, cost.clone());
+        planner.plan(&mut ctx).unwrap();
+        ctx.evals_used
+    };
+    let post = CemPlanner {
+        rounds: 5,
+        pop: 8,
+        elite_frac: 0.25,
+        seed: 5,
+    };
+    let rl = ReinforcePlanner {
+        rounds: 5,
+        batch: 8,
+        seed: 6,
+    };
+    assert_eq!(evals(&GdpPlanner), 1);
+    assert!(evals(&post) >= 40);
+    assert!(evals(&rl) >= 40);
 }
